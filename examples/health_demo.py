@@ -126,10 +126,10 @@ def main() -> int:
           f"(p50 {busbw['p50']:.3f})")
     print(f"chunk pipeline utilization: mean {util['mean']:.3f}")
     print(f"receive stall: {health['recv_stall_s']:.3f}s, "
-          f"event log depth {health['event_log_depth']}")
+          f"record ring depth {health['record_ring_depth']}")
 
     # -- causal timeline ------------------------------------------------
-    timeline = [r for r in merge_causal_timeline() if r["seq"] is not None]
+    timeline = merge_causal_timeline()
     worst = max(timeline, key=lambda r: r["start_skew_s"], default=None)
     if worst is not None:
         print(f"\ncausal timeline: {len(timeline)} collectives stitched; "

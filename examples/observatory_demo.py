@@ -12,8 +12,8 @@ attached:
   iteration (where did the wall time go: prepare, backward, exposed
   communication, finalize) and the cross-rank straggler summary;
 * the merged Chrome trace (``observatory_timeline.json``): telemetry
-  spans, flight-recorder collective lifecycles (enable with
-  ``REPRO_DEBUG=INFO``), and resilience instants in one timeline —
+  spans, the collective records' ``comm`` and ``flight`` rows (kept
+  because telemetry is on), and resilience instants in one timeline —
   load it at https://ui.perfetto.dev.
 
 The script validates its own outputs (series present, exposition
@@ -116,11 +116,9 @@ def main() -> int:
     categories = {e.get("cat") for e in events if e.get("cat")}
     print(f"\n== merged timeline: {len(events)} events, tracks: "
           f"{sorted(categories)} ==")
-    assert {"compute", "comm", "iteration"} <= categories
-    if os.environ.get("REPRO_DEBUG", "").upper() in ("INFO", "DETAIL", "1", "2"):
-        assert "flight" in categories, "flight-recorder track missing"
-        print("flight-recorder track present "
-              f"({sum(1 for e in events if e.get('cat') == 'flight')} records)")
+    assert {"compute", "comm", "iteration", "flight"} <= categories
+    print("flight-recorder track present "
+          f"({sum(1 for e in events if e.get('cat') == 'flight')} records)")
     print(f"wrote {path} — open at https://ui.perfetto.dev")
 
     exporter.close()

@@ -11,10 +11,10 @@ Enables ``repro.telemetry``, trains a small MLP on rank threads, then:
 * validates the exported trace: parseable JSON, events from every
   rank, and comm spans nested inside an iteration window — so CI can
   use this script as a telemetry smoke test;
-* checks the ``debug`` section of ``ddp_stats()``: with
-  ``REPRO_DEBUG=INFO`` (or higher) the collective flight recorder must
-  hold records and the hang watchdog must be running; when OFF the
-  debug layer must record nothing.
+* checks the ``debug`` section of ``ddp_stats()``: the collective
+  record ring must hold records (telemetry alone turns it on), and the
+  hang watchdog must run exactly when ``REPRO_DEBUG`` is ``INFO`` or
+  higher.
 
 Run:
     python examples/telemetry_demo.py
@@ -120,8 +120,10 @@ def main() -> None:
     debug = stats["debug"]
     print(f"\ndebug layer (REPRO_DEBUG={debug['level']}): {debug}")
     if debug["level"] == "OFF":
-        assert debug["flight_recorder_depth"] == 0, (
-            "flight recorder must record nothing when REPRO_DEBUG=OFF"
+        # The record ring is on because telemetry is; the watchdog only
+        # runs at REPRO_DEBUG=INFO and above.
+        assert debug["flight_recorder_depth"] > 0, (
+            "telemetry is on, so the record ring must hold the collectives"
         )
         assert debug["watchdog"] is None, "no watchdog expected when OFF"
     else:

@@ -71,10 +71,6 @@ REPLICATION_ENV = "REPRO_CKPT_REPLICATION"
 #: saves even where the engine would default to async.
 ASYNC_ENV = "REPRO_CKPT_ASYNC"
 
-#: Replication arrivals later than this many seconds after the owner's
-#: snapshot are annotated in the health event log.
-REPLICATION_LAG_WARN_S = 2.0
-
 _ENGINES: "weakref.WeakValueDictionary[int, CheckpointEngine]" = (
     weakref.WeakValueDictionary()
 )
@@ -106,12 +102,6 @@ def _record_span(name: str, t_start: float, t_end: float, rank: int, **args) -> 
             name, t_start, t_end, cat="checkpoint", stream="checkpoint",
             rank=rank, args=args or None,
         )
-
-
-def _health_event(rank: int, kind: str, **fields) -> None:
-    from repro.telemetry.health.events import record_event
-
-    record_event(rank, kind, **fields)
 
 
 class _SaveJob:
@@ -485,15 +475,6 @@ class CheckpointEngine:
             "checkpoint.replica_recv", t0, time.perf_counter(), self.rank,
             owner=owner, generation=generation, lag_s=round(lag, 6),
         )
-        _health_event(
-            self.rank, "checkpoint.replica",
-            owner=owner, generation=generation, lag_s=lag,
-        )
-        if lag > REPLICATION_LAG_WARN_S:
-            _health_event(
-                self.rank, "checkpoint.replication_lag",
-                owner=owner, generation=generation, lag_s=lag,
-            )
 
     # -- restoring -------------------------------------------------------
     def _source_dirs(self) -> List[str]:

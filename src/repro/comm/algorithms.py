@@ -59,17 +59,19 @@ ReduceFn = Callable[..., np.ndarray]
 def _recv(hub: TransportHub, me: int, src: int, tag: object, timeout: float | None):
     """``hub.recv`` plus per-source stall attribution.
 
-    When the process-group worker has bracketed this collective for
-    health accounting (:func:`repro.telemetry.health.accounting.active`),
-    the time spent inside ``recv`` is attributed to the sending rank —
-    the raw signal behind straggler and slow-link diagnoses.  Outside a
-    bracket this is a plain ``hub.recv`` plus one attribute check.
+    When the process-group worker routes this thread's stalls to the
+    running collective's record for health accounting
+    (:func:`repro.telemetry.health.accounting.stall_record`), the time
+    spent inside ``recv`` is attributed to the sending rank — the raw
+    signal behind straggler and slow-link diagnoses.  Otherwise this is
+    a plain ``hub.recv`` plus one attribute check.
     """
-    if not _health.active():
+    record = _health.stall_record()
+    if record is None:
         return hub.recv(me, src, tag, timeout)
     t0 = time.perf_counter()
     payload = hub.recv(me, src, tag, timeout)
-    _health.note_recv_stall(src, time.perf_counter() - t0)
+    record.note_stall(src, time.perf_counter() - t0)
     return payload
 
 #: Elementwise reduction operators.  All values are numpy ufuncs so the
@@ -469,42 +471,6 @@ def allgather(
         hub.send(ranks[me], right, (tag, "ag", step), out[send_idx].copy())
         out[recv_idx] = _recv(hub, ranks[me], left, (tag, "ag", step), timeout)
     return out
-
-
-def reduce_scatter(
-    hub: TransportHub,
-    ranks: Sequence[int],
-    me: int,
-    buffer: np.ndarray,
-    op: str = "sum",
-    tag: object = "rscatter",
-    timeout: float | None = None,
-) -> np.ndarray:
-    """Ring reduce-scatter; returns this rank's fully reduced chunk.
-
-    Cost per rank: (p−1)α + ((p−1)/p)·n·β — phase 1 of the ring
-    AllReduce.  Segments are contiguous spans reduced with in-place
-    ufunc calls.
-
-    Thread-safety: safe to run concurrently on every rank thread of the
-    group (one call per rank per ``tag``).
-    """
-    fn = _reduce_fn(op)
-    world = len(ranks)
-    flat = buffer.reshape(-1).copy()
-    segments = partition_spans(flat.size, world)
-    if world == 1:
-        return flat
-    right = ranks[(me + 1) % world]
-    left = ranks[(me - 1) % world]
-    for step in range(world - 1):
-        send_lo, send_hi = segments[(me - step) % world]
-        recv_lo, recv_hi = segments[(me - step - 1) % world]
-        hub.send(ranks[me], right, (tag, "rs", step), flat[send_lo:send_hi].copy())
-        incoming = _recv(hub, ranks[me], left, (tag, "rs", step), timeout)
-        fn(flat[recv_lo:recv_hi], incoming, out=flat[recv_lo:recv_hi])
-    owned_lo, owned_hi = segments[(me + 1) % world]
-    return flat[owned_lo:owned_hi]
 
 
 def reduce_scatter_flat(

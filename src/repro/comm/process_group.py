@@ -36,10 +36,9 @@ from repro.comm import algorithms
 from repro.comm.store import Store, StoreTimeoutError
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.debug import desync as _desync
-from repro.debug.flight_recorder import current_collective_context, recorder_for
+from repro.debug.flight_recorder import CollectiveRecord, all_recorders, recorder_for
 from repro.debug.levels import DEBUG, DETAIL
 from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
@@ -69,32 +68,48 @@ class CollectiveTimeoutError(CollectiveError):
     """A collective did not complete in time (a peer hung or diverged)."""
 
 
+#: Transport retry counters (``retry_totals_for`` order) whose movement
+#: during a collective is kept on its record.
+_RETRY_COUNTERS = ("retries", "retransmits", "duplicates_dropped", "corrupt_detected")
+
+
+def recording() -> bool:
+    """Whether collective records go into the rank's ring: true while
+    telemetry or ``REPRO_DEBUG`` is on, so nothing is kept when both are
+    off."""
+    return TRACER.enabled or DEBUG.level > 0
+
+
 class Work:
     """Handle for an asynchronously executing collective.
 
-    The communication worker stamps ``_t_start``/``_t_end``
-    (``perf_counter`` seconds) around the collective's execution, so
-    callers holding the handle — notably the reducer's per-bucket
-    latency and overlap-ratio accounting — can read how long the
-    operation actually ran, as opposed to how long they waited on it.
+    Carries the collective's :class:`CollectiveRecord`.  The
+    communication worker stamps the record's ``t_start``/``t_end``
+    (``perf_counter`` seconds) around execution, so callers holding the
+    handle — notably the reducer's per-bucket latency and overlap-ratio
+    accounting — can read how long the operation actually ran, as
+    opposed to how long they waited on it.  ``result[0]`` holds the
+    value of collectives that return one (allgather, reduce-scatter…).
     """
 
-    def __init__(self, description: str = "", meta: Optional[dict] = None):
+    def __init__(self, description: str = "", record: Optional[CollectiveRecord] = None):
         self._done = threading.Event()
         self._error: Optional[BaseException] = None
         self.description = description
-        self.meta = meta
-        self._t_start: Optional[float] = None
-        self._t_end: Optional[float] = None
-        # Flight-recorder record for this collective (debug mode only).
-        self._debug_record = None
+        self.record = record if record is not None else CollectiveRecord(
+            None, -1, description
+        )
+        self.result: list = [None]
 
     def _complete(self, error: Optional[BaseException] = None) -> None:
-        # First completion wins: the hang watchdog may fail a stuck Work
-        # with a desync report before the worker's own (less precise)
-        # transport timeout surfaces; keep the richer error.
-        if self._done.is_set():
-            return
+        # First completion wins (the record keeps that rule): the hang
+        # watchdog may fail a stuck Work with a desync report before the
+        # worker's own (less precise) transport timeout surfaces; keep
+        # the richer error.
+        if self.record.close(error):
+            self._wake(error)
+
+    def _wake(self, error: Optional[BaseException]) -> None:
         self._error = error
         self._done.set()
 
@@ -106,31 +121,23 @@ class Work:
         """Block until the collective finishes; re-raise any failure.
 
         A caller-side timeout does not leave the collective dangling:
-        the work is marked failed (first completion wins, so a worker
-        that finishes in the same instant keeps its result) and its
-        flight-recorder record — which would otherwise stay "started"
-        forever — is closed as failed with the timeout error.
+        the work and its record are failed with the timeout error — unless
+        the worker closed the record first, in which case its outcome
+        stands.
         """
         if not self._done.wait(timeout):
-            detail = ""
-            if self.meta:
-                detail = " (" + ", ".join(
-                    f"{key}={value}" for key, value in sorted(self.meta.items())
-                ) + ")"
+            detail = ", ".join(
+                f"{key}={value}" for key, value in self.record.summary().items()
+            )
             error = CollectiveTimeoutError(
-                f"timed out waiting for collective {self.description!r}{detail} "
-                f"after {timeout}s (caller-side wait expired)"
+                f"timed out waiting for collective {self.description!r} "
+                f"({detail}) after {timeout}s (caller-side wait expired)"
             )
             self._complete(error)
-            if self._error is None:
-                # Lost the race: the worker completed successfully
-                # between the wait expiring and our failure landing.
-                return
-            if self._debug_record is not None:
-                from repro.debug.flight_recorder import mark_record_failed
-
-                mark_record_failed(self._debug_record, self._error)
-            raise self._error
+            # A worker that closed the record first wakes waiters as
+            # soon as it has accounted the collective.
+            if not self._done.wait(timeout):
+                raise error
         if self._error is not None:
             raise self._error
 
@@ -228,12 +235,10 @@ class ProcessGroup:
             arrival_key, lambda v: v >= len(self.ranks), timeout=timeout
         )
 
-        # Debug layer (REPRO_DEBUG=INFO|DETAIL): per-rank flight recorder
-        # plus a hang watchdog thread for this group membership.
-        self.flight_recorder = None
+        # Debug layer (REPRO_DEBUG=INFO|DETAIL): a hang watchdog thread
+        # for this group membership.
         self._watchdog = None
         if DEBUG.level:
-            self.flight_recorder = recorder_for(rank)
             from repro.debug.watchdog import HangWatchdog
 
             self._watchdog = HangWatchdog(self)
@@ -260,172 +265,118 @@ class ProcessGroup:
     # worker machinery
     # ------------------------------------------------------------------
     @property
+    def flight_recorder(self):
+        """This rank's record ring, or None while nothing was recorded."""
+        return all_recorders().get(self.global_rank)
+
+    @property
     def _inflight(self):
         """Oldest in-flight (work, started-at) pair, or None.
 
         The hang watchdog polls this; with multiple streams the longest-
         running collective is the one worth reporting.
         """
-        entries = list(self._inflight_by_stream.values())
-        live = [e for e in entries if e is not None]
+        live = [w for w in list(self._inflight_by_stream.values()) if w is not None]
         if not live:
             return None
-        return min(live, key=lambda pair: pair[1])
+        work = min(live, key=lambda w: w.record.t_start)
+        return work, work.record.t_start
 
     def _worker_loop(self, stream: int) -> None:
         # Worker threads carry the owning rank's identity so telemetry
         # spans and log records from inside collectives attribute
         # correctly (the rank contextvar does not cross thread spawns).
         set_current_rank(self.global_rank)
+        retry_probe = getattr(self.hub, "retry_totals_for", None)
         while True:
             item = self._queues[stream].get()
             if item is None:
                 return
             fn, work = item
-            error: Optional[BaseException] = None
-            record = work._debug_record
-            if record is not None:
-                self.flight_recorder.mark_started(record)
+            record = work.record
+            traced = TRACER.enabled
+            # Health accounting: the algorithms' receive helper adds
+            # per-source stalls to the running collective's record.
+            collect = traced and _health.is_enabled()
+            if collect:
+                _health.collect_stalls(record)
             # With a retrying transport, attribute this rank's retry
             # counter movement to the collective that ran (approximate
             # under num_streams > 1, exact otherwise).
-            retry_probe = getattr(self.hub, "retry_totals_for", None)
             retry_before = retry_probe(self.global_rank) if retry_probe else None
-            self._inflight_by_stream[stream] = (work, time.perf_counter())
-            # Health accounting brackets the collective so the receive
-            # helper in the algorithms can attribute stalls per source.
-            health_on = _health.collecting_enabled()
-            if health_on:
-                _health.begin_collective()
-            work._t_start = time.perf_counter()
-            if health_on:
-                self._record_lifecycle("start", work, work._t_start)
+            error: Optional[BaseException] = None
+            record.start()
+            self._inflight_by_stream[stream] = work
             try:
                 fn()
             except BaseException as exc:  # propagate through the Work handle
                 error = exc
-            work._t_end = time.perf_counter()
             self._inflight_by_stream[stream] = None
-            if health_on:
-                stall_s, stall_by_src, chunks = _health.end_collective()
-                _health.record_collective(
-                    self.global_rank,
-                    work.meta,
-                    work._t_start,
-                    work._t_end,
-                    len(self.ranks),
-                    self.backend,
-                    stall_s,
-                    stall_by_src,
-                    chunks,
-                )
-                self._record_lifecycle(
-                    "failed" if error is not None else "complete",
-                    work,
-                    work._t_end,
-                    extra={"error": type(error).__name__} if error is not None else None,
-                )
+            if collect:
+                _health.collect_stalls(None)
             if retry_before is not None:
                 after = retry_probe(self.global_rank)
-                deltas = {
+                record.retries = {
                     name: after[i] - retry_before[i]
-                    for i, name in enumerate(
-                        ("retries", "retransmits", "duplicates_dropped",
-                         "corrupt_detected")
-                    )
+                    for i, name in enumerate(_RETRY_COUNTERS)
                     if after[i] > retry_before[i]
-                }
-                if deltas:
-                    if work.meta is not None:
-                        work.meta.update(deltas)
-                    if record is not None:
-                        extra = dict(record.extra or {})
-                        extra.update(deltas)
-                        record.extra = extra
-            if record is not None:
-                self.flight_recorder.mark_completed(record, error)
-            if TRACER.enabled:
-                args = dict(work.meta) if work.meta else {}
-                if error is not None:
-                    args["error"] = type(error).__name__
-                TRACER.record(
-                    work.description,
-                    work._t_start,
-                    work._t_end,
-                    cat="comm",
-                    stream="comm",
-                    rank=self.global_rank,
-                    args=args or None,
-                )
-            work._complete(error)
+                } or None
+            closed = record.close(error)
+            if traced:
+                # Metrics read the closed record before waiters wake, so
+                # a caller never sees its collective unaccounted.
+                self._count_op(record.op, record.nbytes)
+                if collect:
+                    _health.record_collective(
+                        record, self.global_rank, len(self.ranks), self.backend
+                    )
+            if closed:
+                work._wake(error)
 
-    def _record_lifecycle(
-        self, kind: str, work: Work, t: float, extra: Optional[dict] = None
-    ) -> None:
-        """Append one collective lifecycle event to this rank's health
-        event log, carrying the ``(group, seq)`` trace context that lets
-        the engine stitch the same collective across ranks."""
-        meta = work.meta or {}
-        record_event(
-            self.global_rank,
-            kind,
-            t=t,
-            group=self._group_id,
-            seq=meta.get("seq"),
-            op=meta.get("op"),
-            bucket=meta.get("bucket"),
-            nbytes=meta.get("bytes"),
-            extra=extra,
-        )
+    def _issue(self, op: str, body, async_op: bool, array=None,
+               nbytes: Optional[int] = None, algorithm: Optional[str] = None,
+               **fields) -> Work:
+        """Schedule collective ``op`` on the deterministic stream for its
+        sequence number; returns its :class:`Work` (already waited when
+        ``async_op`` is False).
 
-    def _submit(
-        self,
-        fn,
-        description: str,
-        async_op: bool,
-        meta: Optional[dict] = None,
-        fingerprint: Optional[dict] = None,
-    ) -> Optional[Work]:
-        """Queue ``fn`` on the deterministic stream for this collective.
-
-        The stream index derives from the collective's sequence number,
-        so every rank routes collective ``seq`` to the same worker and
-        peers always meet on a matching stream.
+        ``body(tag)`` runs on the worker after the signature check and
+        its return value lands in ``work.result[0]``.  The stream index
+        derives from the sequence number, so every rank routes
+        collective ``seq`` to the same worker and peers always meet on a
+        matching stream.
         """
         if self._closed:
             raise CollectiveError("process group has been shut down")
+        seq = self._seq
+        self._seq += 1
         if self._fault_plan is not None:
             # Raises InjectedRankFailure on the issuing rank's own
             # thread when a collective-scoped crash rule fires — before
             # the collective is queued, so peers see a vanished rank.
-            self._fault_plan.on_collective(
-                self.global_rank,
-                (meta or {}).get("op", description),
-                (meta or {}).get("seq", -1),
-                self._group_id,
-            )
-        work = Work(description, meta)
-        if _health.collecting_enabled():
-            self._record_lifecycle("schedule", work, time.perf_counter())
-        stream = (meta or {}).get("seq", 0) % self.num_streams
-        if self.flight_recorder is not None and DEBUG.level:
-            fp = fingerprint or {}
-            work._debug_record = self.flight_recorder.record_scheduled(
-                seq=(meta or {}).get("seq", -1),
-                op=fp.get("op") or (meta or {}).get("op", description),
-                group_id=self._group_id,
-                shape=fp.get("shape"),
-                dtype=fp.get("dtype"),
-                nbytes=fp.get("nbytes"),
-                extra={k: v for k, v in fp.items()
-                       if k not in ("op", "shape", "dtype", "nbytes")},
-                context=current_collective_context(),
-            )
-        self._queues[stream].put((fn, work))
-        if async_op:
-            return work
-        work.wait(self.timeout + 5.0)
-        return None
+            self._fault_plan.on_collective(self.global_rank, op, seq, self._group_id)
+        signature = _desync.fingerprint(op, array, **fields)
+        if nbytes is None and array is not None:
+            nbytes = array.nbytes
+        if nbytes is not None:
+            self.bytes_communicated += nbytes
+        record = CollectiveRecord(self._group_id, seq, op, signature, nbytes, algorithm)
+        work = Work(f"{op}#{seq}", record)
+        tag = (self._group_id, seq, op)
+
+        def run() -> None:
+            self._check_signature(seq, signature)
+            try:
+                work.result[0] = body(tag)
+            except TransportTimeoutError as exc:
+                raise CollectiveTimeoutError(str(exc)) from exc
+
+        if recording():
+            recorder_for(self.global_rank).append(record)
+        self._queues[seq % self.num_streams].put((run, work))
+        if not async_op:
+            work.wait(self.timeout + 5.0)
+        return work
 
     def install_fault_plan(self, plan) -> None:
         """Install (or with ``None`` remove) a fault plan on this group.
@@ -559,10 +510,10 @@ class ProcessGroup:
     def _cleanup_store_namespace(self) -> None:
         """Drop this group's store keys once every member shut down.
 
-        Collectives leave one signature key per sequence number (plus
-        rendezvous counters, watchdog snapshots, barrier and DDP-check
-        keys), which would grow the store without bound across long
-        elastic runs that create a fresh group per generation.  The last
+        A group leaves rendezvous counters, watchdog snapshots, barrier
+        and DDP-check keys (plus the signature keys of a mismatched
+        collective), which would grow the store without bound across
+        long elastic runs that create a fresh group per generation.  The last
         member to shut down cleanly deletes the whole namespace — at
         that point no watchdog can still need the parting snapshots.
         Ranks that die without reaching shutdown leave the keys behind
@@ -574,7 +525,7 @@ class ProcessGroup:
             if arrivals < len(self.ranks):
                 return
             for prefix in (
-                f"pg{gid}/",       # rendezvous counter + per-seq signatures
+                f"pg{gid}/",       # rendezvous counter + leftover signatures
                 f"pgdebug/{gid}/", # watchdog alarms and snapshots
                 f"mb/{gid}/",      # monitored_barrier counters
                 f"ddpchk/{gid}/",  # DDP construction consistency checks
@@ -624,12 +575,24 @@ class ProcessGroup:
                     r: sig for r, k in keys.items()
                     if (sig := self.store.try_get(k)) is not None
                 }
+            # The keys stay behind as evidence of the mismatch.
             raise CollectiveMismatchError(
                 _desync.render_mismatch(
                     self._group_id, seq, self.global_rank, signature,
                     self.ranks[0], leader_sig, peer_sigs,
                 )
             )
+        # The last member to compare retires the sequence's keys, so the
+        # store does not grow by one key per collective.
+        comparers = len(self.ranks) - 1
+        if comparers > 1:
+            if self.store.add(f"{key}/seen", 1) < comparers:
+                return
+            self.store.delete(f"{key}/seen")
+        self.store.delete(key)
+        if detail:
+            for r in self.ranks:
+                self.store.delete(f"{key}/rank{r}")
 
     def _wait_leader_signature(self, key: str, seq: int) -> dict:
         """Blocking read of the leader's signature, sliced so a shutdown
@@ -656,20 +619,16 @@ class ProcessGroup:
                         f"hung, or exited"
                     ) from None
 
-    def _next_tag(self, op_name: str) -> tuple:
-        seq = self._seq
-        self._seq += 1
-        return (self._group_id, seq, op_name)
-
-    def _check_device(self, tensor) -> None:
+    def _array(self, tensor) -> np.ndarray:
         if not self.supports_cpu_tensors and _device_of(tensor) == "cpu":
             raise CollectiveError(
                 f"{type(self).__name__} only supports device tensors "
                 f"(got a tensor on 'cpu'); copy to a gpu:* device first"
             )
+        return _as_array(tensor)
 
-    def _record_op_metrics(self, op_name: str, nbytes: int) -> None:
-        if TRACER.enabled:
+    def _count_op(self, op_name: str, nbytes: Optional[int]) -> None:
+        if nbytes is not None:
             registry = registry_for(self.global_rank)
             registry.counter(f"{op_name}.count").add(1)
             registry.counter(f"{op_name}.bytes").add(nbytes)
@@ -684,115 +643,38 @@ class ProcessGroup:
 
     def allreduce(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce ``tensor`` in place across the group (sum by default)."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("allreduce")
-        seq = tag[1]
-        signature = _desync.fingerprint("allreduce", array, reduce_op=op)
+        array = self._array(tensor)
         algorithm = algorithms.ALLREDUCE_ALGORITHMS[self.algorithm]
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("allreduce", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                algorithm(
-                    self.hub, self.ranks, self.group_rank, array, op, tag,
-                    self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {
-            "op": "allreduce",
-            "seq": seq,
-            "bytes": array.nbytes,
-            "algorithm": self.algorithm,
-            "reduce_op": op,
-            "group": self._group_id,
-        }
-        return self._submit(
-            run, f"allreduce#{seq}", async_op, meta=meta, fingerprint=signature
+        work = self._issue(
+            "allreduce",
+            lambda tag: algorithm(self.hub, self.ranks, self.group_rank, array, op,
+                                  tag, self.timeout, self.chunk_bytes),
+            async_op, array, algorithm=self.algorithm, reduce_op=op,
         )
+        return work if async_op else None
 
     def broadcast(self, tensor, src: int = 0, async_op: bool = False):
         """Broadcast from group-rank ``src`` into every rank's tensor."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("broadcast")
-        seq = tag[1]
-        signature = _desync.fingerprint("broadcast", array, src=src)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("broadcast", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                algorithms.broadcast(
-                    self.hub, self.ranks, self.group_rank, array, src, tag,
-                    self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "broadcast", "seq": seq, "bytes": array.nbytes, "src": src,
-                "group": self._group_id}
-        return self._submit(
-            run, f"broadcast#{seq}", async_op, meta=meta, fingerprint=signature
+        array = self._array(tensor)
+        work = self._issue(
+            "broadcast",
+            lambda tag: algorithms.broadcast(self.hub, self.ranks, self.group_rank,
+                                             array, src, tag, self.timeout,
+                                             self.chunk_bytes),
+            async_op, array, src=src,
         )
+        return work if async_op else None
 
     def allgather(self, tensor, async_op: bool = False):
         """Gather every rank's tensor; sync form returns (world, n) array."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("allgather")
-        seq = tag[1]
-        signature = _desync.fingerprint("allgather", array)
-        self.bytes_communicated += array.nbytes * len(self.ranks)
-        self._record_op_metrics("allgather", array.nbytes * len(self.ranks))
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                result[0] = algorithms.allgather(
-                    self.hub, self.ranks, self.group_rank, array, tag, self.timeout
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "allgather", "seq": seq,
-                "bytes": array.nbytes * len(self.ranks), "group": self._group_id}
-        work = self._submit(
-            run, f"allgather#{seq}", async_op, meta=meta, fingerprint=signature
+        array = self._array(tensor)
+        work = self._issue(
+            "allgather",
+            lambda tag: algorithms.allgather(self.hub, self.ranks, self.group_rank,
+                                             array, tag, self.timeout),
+            async_op, array, nbytes=array.nbytes * len(self.ranks),
         )
-        if async_op:
-            work.result = result  # type: ignore[attr-defined]
-            return work
-        return result[0]
-
-    def reduce_scatter(self, tensor, op: str = ReduceOp.SUM):
-        """Synchronously reduce-scatter; returns this rank's chunk."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce_scatter")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce_scatter", array, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce_scatter", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.reduce_scatter(
-                self.hub, self.ranks, self.group_rank, array, op, tag, self.timeout
-            )
-
-        meta = {"op": "reduce_scatter", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"reduce_scatter#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        return work if async_op else work.result[0]
 
     def reduce_scatter_flat(self, tensor, op: str = ReduceOp.SUM, async_op: bool = False):
         """Reduce across the group and return this rank's contiguous span.
@@ -805,35 +687,16 @@ class ProcessGroup:
         ``async_op=True`` returns a :class:`Work` whose ``result[0]``
         holds the span after ``wait()``.
         """
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce_scatter_flat")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce_scatter_flat", array, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce_scatter_flat", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                result[0] = algorithms.reduce_scatter_flat(
-                    self.hub, self.ranks, self.group_rank, array, op, tag,
-                    self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "reduce_scatter_flat", "seq": seq, "bytes": array.nbytes,
-                "reduce_op": op, "group": self._group_id}
-        work = self._submit(
-            run, f"reduce_scatter_flat#{seq}", async_op, meta=meta,
-            fingerprint=signature,
+        array = self._array(tensor)
+        work = self._issue(
+            "reduce_scatter_flat",
+            lambda tag: algorithms.reduce_scatter_flat(
+                self.hub, self.ranks, self.group_rank, array, op, tag,
+                self.timeout, self.chunk_bytes,
+            ),
+            async_op, array, reduce_op=op,
         )
-        if async_op:
-            work.result = result  # type: ignore[attr-defined]
-            return work
-        return result[0]
+        return work if async_op else work.result[0]
 
     def all_gather_flat(self, tensor, shard=None, async_op: bool = False):
         """Fill ``tensor`` in place with every rank's contiguous span.
@@ -847,100 +710,54 @@ class ProcessGroup:
         the parameter-materialization primitive of the ZeRO stages
         (:mod:`repro.sharded`).
         """
-        self._check_device(tensor)
-        array = _as_array(tensor)
+        array = self._array(tensor)
         shard_array = None if shard is None else _as_array(shard)
-        tag = self._next_tag("all_gather_flat")
-        seq = tag[1]
-        signature = _desync.fingerprint("all_gather_flat", array)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("all_gather_flat", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            try:
-                algorithms.all_gather_into_flat(
-                    self.hub, self.ranks, self.group_rank, array, shard_array,
-                    tag, self.timeout, self.chunk_bytes,
-                )
-            except TransportTimeoutError as exc:
-                raise CollectiveTimeoutError(str(exc)) from exc
-
-        meta = {"op": "all_gather_flat", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        return self._submit(
-            run, f"all_gather_flat#{seq}", async_op, meta=meta,
-            fingerprint=signature,
+        work = self._issue(
+            "all_gather_flat",
+            lambda tag: algorithms.all_gather_into_flat(
+                self.hub, self.ranks, self.group_rank, array, shard_array,
+                tag, self.timeout, self.chunk_bytes,
+            ),
+            async_op, array,
         )
+        return work if async_op else None
 
     def reduce(self, tensor, root: int = 0, op: str = ReduceOp.SUM):
         """Reduce into group-rank ``root``'s tensor (synchronous)."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("reduce")
-        seq = tag[1]
-        signature = _desync.fingerprint("reduce", array, root=root, reduce_op=op)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("reduce", array.nbytes)
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            algorithms.reduce(
-                self.hub, self.ranks, self.group_rank, array, root, op, tag, self.timeout
-            )
-
-        meta = {"op": "reduce", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"reduce#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
+        array = self._array(tensor)
+        self._issue(
+            "reduce",
+            lambda tag: algorithms.reduce(self.hub, self.ranks, self.group_rank,
+                                          array, root, op, tag, self.timeout),
+            False, array, root=root, reduce_op=op,
+        )
 
     def gather(self, tensor, root: int = 0):
         """Gather tensors at ``root``; returns (world, n) there, None elsewhere."""
-        self._check_device(tensor)
-        array = _as_array(tensor)
-        tag = self._next_tag("gather")
-        seq = tag[1]
-        signature = _desync.fingerprint("gather", array, root=root)
-        self.bytes_communicated += array.nbytes
-        self._record_op_metrics("gather", array.nbytes)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.gather(
-                self.hub, self.ranks, self.group_rank, array, root, tag, self.timeout
-            )
-
-        meta = {"op": "gather", "seq": seq, "bytes": array.nbytes,
-                "group": self._group_id}
-        self._submit(run, f"gather#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        array = self._array(tensor)
+        return self._issue(
+            "gather",
+            lambda tag: algorithms.gather(self.hub, self.ranks, self.group_rank,
+                                          array, root, tag, self.timeout),
+            False, array, root=root,
+        ).result[0]
 
     def scatter(self, chunks=None, root: int = 0):
         """Scatter root's per-rank chunks; returns this rank's chunk."""
-        tag = self._next_tag("scatter")
-        seq = tag[1]
-        signature = _desync.fingerprint("scatter", root=root)
-        result: list = [None]
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            result[0] = algorithms.scatter(
-                self.hub, self.ranks, self.group_rank, chunks, root, tag, self.timeout
-            )
-
-        meta = {"op": "scatter", "seq": seq, "group": self._group_id}
-        self._submit(run, f"scatter#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
-        return result[0]
+        return self._issue(
+            "scatter",
+            lambda tag: algorithms.scatter(self.hub, self.ranks, self.group_rank,
+                                           chunks, root, tag, self.timeout),
+            False, root=root,
+        ).result[0]
 
     def send(self, tensor, dst: int, tag: object = "p2p") -> None:
         """Point-to-point send to group-rank ``dst`` (paper §2.3 contrasts
         this with collectives; provided for parameter-server-style code)."""
         array = _as_array(tensor)
         self.bytes_communicated += array.nbytes
-        self._record_op_metrics("p2p.send", array.nbytes)
+        if TRACER.enabled:
+            self._count_op("p2p.send", array.nbytes)
         self.hub.send(
             self.ranks[self.group_rank], self.ranks[dst], ("p2p", self._group_id, tag),
             array.copy(),
@@ -949,7 +766,8 @@ class ProcessGroup:
     def recv(self, tensor, src: int, tag: object = "p2p") -> None:
         """Blocking point-to-point receive from group-rank ``src``."""
         array = _as_array(tensor)
-        self._record_op_metrics("p2p.recv", array.nbytes)
+        if TRACER.enabled:
+            self._count_op("p2p.recv", array.nbytes)
         incoming = self.hub.recv(
             self.ranks[self.group_rank], self.ranks[src], ("p2p", self._group_id, tag),
             self.timeout,
@@ -963,17 +781,12 @@ class ProcessGroup:
         Thread-safe like every collective here: issue from the rank's
         own thread; the transfer itself runs on the comm worker.
         """
-        tag = self._next_tag("barrier")
-        seq = tag[1]
-        signature = _desync.fingerprint("barrier")
-
-        def run() -> None:
-            self._check_signature(seq, signature)
-            algorithms.barrier(self.hub, self.ranks, self.group_rank, tag, self.timeout)
-
-        meta = {"op": "barrier", "seq": seq, "group": self._group_id}
-        self._submit(run, f"barrier#{seq}", async_op=False, meta=meta,
-                     fingerprint=signature)
+        self._issue(
+            "barrier",
+            lambda tag: algorithms.barrier(self.hub, self.ranks, self.group_rank,
+                                           tag, self.timeout),
+            False,
+        )
 
 
 class ProcessGroupNccl(ProcessGroup):

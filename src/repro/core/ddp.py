@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.autograd.tensor import Tensor
 from repro.comm.distributed import get_context
+from repro.comm.process_group import recording
 from repro.core.bucket import cached_bucket_assignment
 from repro.core.reducer import CommHook, Reducer
 from repro.debug.flight_recorder import collective_context
@@ -189,7 +190,7 @@ class DistributedDataParallel(Module):
     def _broadcast_module_state(self) -> None:
         label = (
             collective_context("ddp init broadcast")
-            if DEBUG.level
+            if recording()
             else contextlib.nullcontext()
         )
         with label:

@@ -37,12 +37,10 @@ import numpy as np
 from repro.autograd.engine import AccumulateGrad
 from repro.autograd.graph import collect_participating_accumulators
 from repro.autograd.tensor import Tensor
-from repro.comm.process_group import ReduceOp
+from repro.comm.process_group import ReduceOp, recording
 from repro.core.bucket import BucketSpec, validate_assignment
 from repro.debug.flight_recorder import collective_context
 from repro.debug.levels import DEBUG
-from repro.telemetry.health import accounting as _health
-from repro.telemetry.health.events import record_event as record_health_event
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.recorder import IterationRecorder
 from repro.telemetry.spans import TRACER
@@ -434,11 +432,13 @@ class Reducer:
             bucket.spec.index,
             bucket.spec.total_elements,
         )
-        # Label the collective with its bucket so flight-recorder entries
-        # read "allreduce#12 [bucket 3]" in a desync report.
+        # Label the collective with its bucket so its record — and every
+        # view of it: desync report, causal timeline, comm trace row —
+        # reads "allreduce#12 [bucket 3]", hooked buckets included.
+        index = bucket.spec.index
         label = (
-            collective_context(f"bucket {bucket.spec.index}")
-            if DEBUG.level
+            collective_context(f"bucket {index}", bucket=index)
+            if recording()
             else contextlib.nullcontext()
         )
         with label:
@@ -450,21 +450,6 @@ class Reducer:
                 bucket.work = self.process_group.allreduce(
                     bucket.tensor, ReduceOp.SUM, async_op=True
                 )
-        # Tag the collective with its bucket so comm spans and flight
-        # records attribute to a reducer bucket in the merged timeline.
-        meta = getattr(bucket.work, "meta", None)
-        if meta is not None:
-            meta.setdefault("bucket", bucket.spec.index)
-        if _health.collecting_enabled():
-            record_health_event(
-                self.recorder.rank,
-                "bucket_launch",
-                iteration=self.recorder.iteration,
-                bucket=bucket.spec.index,
-                seq=(meta or {}).get("seq"),
-                group=(meta or {}).get("group"),
-                nbytes=bucket.flat.nbytes,
-            )
 
     def _finalize_backward(self) -> None:
         """Wait for communication, average, and write gradients back.
@@ -543,7 +528,7 @@ class Reducer:
             staging = Tensor(bitmap, device=device)
         label = (
             collective_context("unused-param bitmap")
-            if DEBUG.level
+            if recording()
             else contextlib.nullcontext()
         )
         with label:

@@ -4,10 +4,12 @@ The paper's headline failure mode (§3.2.3, Fig. 3(a)) — ranks issuing
 collectives in mismatched order — surfaces in production as an opaque
 NCCL hang.  This package turns that hang into a diagnosis:
 
-* :mod:`~repro.debug.flight_recorder` — per-rank bounded ring buffer of
-  every collective's lifecycle (seq, op, group, payload fingerprint,
-  caller context, scheduled/started/completed timestamps), with JSON
-  dump and a cross-rank "last N collectives per rank" table.
+* :mod:`~repro.debug.flight_recorder` — the one record of every
+  collective (seq, op, group, payload fingerprint, caller context and
+  bucket, scheduled/started/completed timestamps, retries, stalls) and
+  the per-rank bounded ring every view reads, with JSON dump, a
+  cross-rank "last N collectives per rank" table and the cross-rank
+  causal timeline.
 * :mod:`~repro.debug.watchdog` — per-``ProcessGroup`` thread that, when
   a collective exceeds the hang threshold, gathers every rank's flight
   recorder tail through the rendezvous store and fails the run with a
@@ -16,9 +18,10 @@ NCCL hang.  This package turns that hang into a diagnosis:
 * :mod:`~repro.debug.desync` — rich collective fingerprints and the
   field-level cross-rank diff rendered on ``CollectiveMismatchError``.
 
-Everything is gated by ``REPRO_DEBUG=OFF|INFO|DETAIL`` (default OFF; see
-:mod:`~repro.debug.levels`): while OFF the comm layer pays one integer
-check per collective and records nothing.
+The watchdog and the checks are gated by ``REPRO_DEBUG=OFF|INFO|DETAIL``
+(default OFF; see :mod:`~repro.debug.levels`).  The record ring is kept
+while ``REPRO_DEBUG`` or telemetry is on; with both off nothing is
+recorded.
 
     REPRO_DEBUG=INFO python train.py          # or:
     from repro import debug

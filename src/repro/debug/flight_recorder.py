@@ -1,19 +1,23 @@
-"""Per-rank collective flight recorder.
+"""Per-rank collective records: the one record of every collective.
 
-The analog of NCCL's / TorchTitan's flight recorder: a bounded ring
-buffer that records every collective's lifecycle on the rank that issued
-it — sequence number, op, group id, payload fingerprint (shape, dtype,
-nbytes, reduce op / src / root), the caller context (e.g. which reducer
-bucket launched it), and scheduled → started → completed timestamps.
+The analog of NCCL's / TorchTitan's flight recorder.  Every collective a
+:class:`~repro.comm.process_group.ProcessGroup` issues is described by
+one :class:`CollectiveRecord` — sequence number, op, group id, payload
+fingerprint (shape, dtype, reduce op / src / root), bytes moved,
+algorithm, the caller context (e.g. which reducer bucket launched it),
+scheduled → started → completed timestamps, retry deltas and receive
+stalls.  The ``Work`` handle carries it, the process-group worker writes
+it at start and end, and while records are on (telemetry or
+``REPRO_DEBUG``) it is appended to the rank's bounded ring here.
 
-When a run desyncs, the recorders are the evidence: merge every rank's
-dump and the "last N collectives per rank" table shows exactly which
-rank stopped issuing collectives, at which sequence number, and what it
-was doing instead.
-
-Recording is gated by ``REPRO_DEBUG`` (see :mod:`repro.debug.levels`):
-with the level at ``OFF`` no recorder is ever attached and no record is
-written.
+Every collective view reads that ring: the JSON dump and cross-rank
+"last N per rank" table, the watchdog's group snapshot and desync
+report, the cross-rank causal timeline (:func:`merge_causal_timeline`,
+:func:`seq_frontier`), the Chrome-trace ``comm`` and ``flight`` rows,
+and the critical-path profiler's comm attribution.  Because every rank
+issues the same collectives in the same order (paper §3.3), ``(group,
+seq)`` names one collective on every rank, and all rank threads share
+one ``perf_counter`` clock, so stitching needs no clock agreement.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 #: Records retained per rank before the ring drops the oldest.
-DEFAULT_CAPACITY = 256
+DEFAULT_CAPACITY = 1024
 
 # Lifecycle states.
 SCHEDULED = "scheduled"
@@ -35,18 +39,20 @@ STARTED = "started"
 COMPLETED = "completed"
 FAILED = "failed"
 
-#: Caller-context label (e.g. "bucket 3") attached to records scheduled
-#: while the context manager below is active.  A contextvar so reducer
-#: code can label collectives without widening the ProcessGroup API.
-_collective_context: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_collective_context", default=None
+#: Caller-context ``(label, bucket)`` (e.g. ``("bucket 3", 3)``) attached
+#: to records scheduled while the context manager below is active.  A
+#: contextvar so reducer code can label collectives without widening the
+#: ProcessGroup API.
+_collective_context: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "repro_collective_context", default=(None, None)
 )
 
 
 @contextlib.contextmanager
-def collective_context(label: str):
-    """Label collectives scheduled inside the block (``context`` field)."""
-    token = _collective_context.set(label)
+def collective_context(label: str, bucket: Optional[int] = None):
+    """Label collectives scheduled inside the block (``context`` field,
+    plus the reducer ``bucket`` index when given)."""
+    token = _collective_context.set((label, bucket))
     try:
         yield
     finally:
@@ -54,44 +60,115 @@ def collective_context(label: str):
 
 
 def current_collective_context() -> Optional[str]:
-    return _collective_context.get()
+    return _collective_context.get()[0]
+
+
+#: Fingerprint fields that have their own column in a record's dict.
+_FINGERPRINT_COLUMNS = ("op", "shape", "dtype", "nbytes")
+
+#: Guards the first-terminal-state-wins check in :meth:`CollectiveRecord.close`.
+_close_lock = threading.Lock()
 
 
 class CollectiveRecord:
     """One collective's lifecycle as seen by the issuing rank."""
 
     __slots__ = (
-        "seq", "op", "group_id", "shape", "dtype", "nbytes", "extra",
-        "context", "state", "t_sched", "t_start", "t_end", "error",
+        "group_id", "seq", "op", "fingerprint", "nbytes", "algorithm",
+        "context", "bucket", "state", "t_sched", "t_start", "t_end", "error",
+        "retries", "stall_s", "stall_by_src", "chunks",
     )
 
-    def __init__(self, seq, op, group_id, shape, dtype, nbytes, extra, context):
+    def __init__(self, group_id, seq: int, op: str, fingerprint: Optional[dict] = None,
+                 nbytes: Optional[int] = None, algorithm: Optional[str] = None):
+        self.group_id = group_id
         self.seq = seq
         self.op = op
-        self.group_id = group_id
-        self.shape = shape
-        self.dtype = dtype
+        self.fingerprint = fingerprint
+        #: Bytes this rank's collective moves (None for barrier/scatter).
         self.nbytes = nbytes
-        self.extra = extra
-        self.context = context
+        self.algorithm = algorithm
+        self.context, self.bucket = _collective_context.get()
         self.state = SCHEDULED
         self.t_sched = time.perf_counter()
         self.t_start: Optional[float] = None
         self.t_end: Optional[float] = None
         self.error: Optional[str] = None
+        #: Transport retry counters that moved while this ran (or None).
+        self.retries: Optional[Dict[str, int]] = None
+        #: Receive-wait seconds, total and per sending rank, and the
+        #: number of chunks received (filled while health accounting is on).
+        self.stall_s = 0.0
+        self.stall_by_src: Optional[Dict[int, float]] = None
+        self.chunks = 0
 
+    # -- lifecycle writes --------------------------------------------------
+    def start(self) -> None:
+        self.t_start = time.perf_counter()
+        self.state = STARTED
+
+    def close(self, error: Optional[BaseException] = None) -> bool:
+        """Record the terminal state; returns False if already terminal.
+
+        First terminal state wins: a record failed by a caller-side
+        ``Work.wait`` timeout or the hang watchdog keeps its richer
+        error when the communication worker reports in later.
+        """
+        with _close_lock:
+            if self.state in (COMPLETED, FAILED):
+                return False
+            self.t_end = time.perf_counter()
+            if error is None:
+                self.state = COMPLETED
+            else:
+                self.state = FAILED
+                self.error = f"{type(error).__name__}: {error}"
+        return True
+
+    def note_stall(self, src: int, seconds: float) -> None:
+        """Attribute ``seconds`` of receive wait to sending rank ``src``."""
+        self.stall_s += seconds
+        by_src = self.stall_by_src
+        if by_src is None:
+            by_src = self.stall_by_src = {}
+        by_src[src] = by_src.get(src, 0.0) + seconds
+        self.chunks += 1
+
+    # -- views -------------------------------------------------------------
     def describe(self) -> str:
         return f"{self.op}#{self.seq}@pg{self.group_id}"
 
+    def extra(self) -> dict:
+        """Fingerprint fields without a column (reduce op, src, root)
+        plus retry deltas."""
+        extra = {k: v for k, v in (self.fingerprint or {}).items()
+                 if k not in _FINGERPRINT_COLUMNS}
+        if self.retries:
+            extra.update(self.retries)
+        return extra
+
+    def summary(self) -> dict:
+        """Identity, size and placement with unset fields dropped (the
+        ``args`` of the collective's Chrome-trace ``comm`` row)."""
+        fields = {"op": self.op, "seq": self.seq, "group": self.group_id,
+                  "bytes": self.nbytes, "algorithm": self.algorithm,
+                  "bucket": self.bucket}
+        fields.update(self.extra())
+        return {key: value for key, value in fields.items() if value is not None}
+
     def as_dict(self) -> dict:
+        fp = self.fingerprint or {}
+        shape = fp.get("shape")
         return {
             "seq": self.seq,
             "op": self.op,
             "group_id": self.group_id,
-            "shape": list(self.shape) if self.shape is not None else None,
-            "dtype": self.dtype,
+            "shape": list(shape) if shape is not None else None,
+            "dtype": fp.get("dtype"),
             "nbytes": self.nbytes,
-            "extra": dict(self.extra) if self.extra else {},
+            "algorithm": self.algorithm,
+            "bucket": self.bucket,
+            "extra": self.extra(),
             "context": self.context,
             "state": self.state,
             "t_sched": self.t_sched,
@@ -100,6 +177,17 @@ class CollectiveRecord:
             "error": self.error,
         }
 
+    def lifecycle(self, rank: int) -> List[dict]:
+        """This record as time-stamped ``schedule``/``start``/``complete``
+        (or ``failed``) events of ``rank``'s timeline."""
+        events = [{"kind": "schedule", "rank": rank, "t": self.t_sched}]
+        if self.t_start is not None:
+            events.append({"kind": "start", "rank": rank, "t": self.t_start})
+        if self.t_end is not None:
+            kind = "failed" if self.state == FAILED else "complete"
+            events.append({"kind": kind, "rank": rank, "t": self.t_end})
+        return events
+
     def __repr__(self) -> str:
         return f"<CollectiveRecord {self.describe()} {self.state}>"
 
@@ -107,8 +195,8 @@ class CollectiveRecord:
 class FlightRecorder:
     """Bounded ring of :class:`CollectiveRecord` for one rank.
 
-    The issuing (caller) thread records ``scheduled``; the communication
-    worker records ``started`` and ``completed``/``failed`` — one short
+    The issuing (caller) thread appends a record when it schedules the
+    collective; the communication worker updates it in place — one short
     lock guards the ring.
     """
 
@@ -119,46 +207,12 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
 
-    # -- recording ------------------------------------------------------
-    def record_scheduled(
-        self,
-        seq: int,
-        op: str,
-        group_id,
-        shape=None,
-        dtype=None,
-        nbytes=None,
-        extra: Optional[dict] = None,
-        context: Optional[str] = None,
-    ) -> CollectiveRecord:
-        record = CollectiveRecord(seq, op, group_id, shape, dtype, nbytes,
-                                  extra, context)
+    def append(self, record: CollectiveRecord) -> CollectiveRecord:
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(record)
         return record
-
-    def mark_started(self, record: CollectiveRecord) -> None:
-        record.t_start = time.perf_counter()
-        record.state = STARTED
-
-    def mark_completed(self, record: CollectiveRecord,
-                       error: Optional[BaseException] = None) -> None:
-        """Close a record (first completion wins, like ``Work``).
-
-        A record already failed — e.g. by a caller-side ``Work.wait``
-        timeout or the hang watchdog — keeps its richer error even if
-        the communication worker later reports in.
-        """
-        if record.state in (COMPLETED, FAILED):
-            return
-        record.t_end = time.perf_counter()
-        if error is None:
-            record.state = COMPLETED
-        else:
-            record.state = FAILED
-            record.error = f"{type(error).__name__}: {error}"
 
     # -- introspection --------------------------------------------------
     def depth(self) -> int:
@@ -220,20 +274,6 @@ class FlightRecorder:
             self.dropped = 0
 
 
-def mark_record_failed(record: CollectiveRecord, error: BaseException) -> None:
-    """Fail a record from outside its recorder (first terminal state wins).
-
-    Used by caller-side ``Work.wait`` timeouts, which hold the record
-    but not the recorder: the entry must not be left dangling in the
-    ``started`` state when the caller has already given up on it.
-    """
-    if record.state in (COMPLETED, FAILED):
-        return
-    record.t_end = time.perf_counter()
-    record.state = FAILED
-    record.error = f"{type(error).__name__}: {error}"
-
-
 # ----------------------------------------------------------------------
 # per-rank registry
 # ----------------------------------------------------------------------
@@ -243,12 +283,11 @@ _recorders: Dict[int, FlightRecorder] = {}
 
 def recorder_for(rank: int, capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
     """This rank's flight recorder (created on first use)."""
-    with _registry_lock:
-        recorder = _recorders.get(rank)
-        if recorder is None:
-            recorder = FlightRecorder(rank, capacity)
-            _recorders[rank] = recorder
-        return recorder
+    recorder = _recorders.get(rank)
+    if recorder is None:
+        with _registry_lock:
+            recorder = _recorders.setdefault(rank, FlightRecorder(rank, capacity))
+    return recorder
 
 
 def all_recorders() -> Dict[int, FlightRecorder]:
@@ -275,6 +314,87 @@ def dump_json(path: Optional[str] = None, indent: int = 2) -> str:
     return text
 
 
+# ----------------------------------------------------------------------
+# cross-rank stitching
+# ----------------------------------------------------------------------
+def merge_causal_timeline(
+    recorders: Optional[Dict[int, FlightRecorder]] = None,
+) -> List[dict]:
+    """Stitch every rank's records into one causal timeline per collective.
+
+    Records are grouped by ``(group, seq)`` — the globally agreed
+    identity of one collective — and each group's lifecycle events are
+    ordered by timestamp (all ranks share the process ``perf_counter``
+    clock, so the order is causal, not approximate).
+
+    Returns one entry per collective, ordered by (group, seq)::
+
+        {"group": 0, "seq": 14, "op": "allreduce", "bucket": 3,
+         "ranks": [0, 1, 2, 3],
+         "events": [{"kind": "schedule", "rank": 0, "t": ...}, ...],
+         "t_first": ..., "t_last": ...,
+         "start_skew_s": 0.081}             # max-min of start times
+
+    ``start_skew_s`` is the straggler signature: how far apart the ranks
+    began executing the same collective.
+    """
+    if recorders is None:
+        recorders = all_recorders()
+    keyed: Dict[tuple, list] = {}
+    for rank, recorder in recorders.items():
+        for record in recorder.records():
+            keyed.setdefault((record.group_id, record.seq), []).append((rank, record))
+
+    timeline: List[dict] = []
+    for (group, seq), entries in sorted(keyed.items()):
+        events = sorted(
+            (event for rank, record in entries for event in record.lifecycle(rank)),
+            key=lambda e: e["t"],
+        )
+        starts = [r.t_start for _, r in entries if r.t_start is not None]
+        timeline.append(
+            {
+                "group": group,
+                "seq": seq,
+                "op": entries[0][1].op,
+                "bucket": next(
+                    (r.bucket for _, r in entries if r.bucket is not None), None
+                ),
+                "ranks": sorted({rank for rank, _ in entries}),
+                "events": events,
+                "t_first": events[0]["t"],
+                "t_last": events[-1]["t"],
+                "start_skew_s": (max(starts) - min(starts)) if len(starts) > 1 else 0.0,
+            }
+        )
+    return timeline
+
+
+def seq_frontier(
+    recorders: Optional[Dict[int, FlightRecorder]] = None,
+) -> Dict[int, Dict[int, int]]:
+    """Per group: each rank's highest *started* collective sequence.
+
+    The desync-precursor detector compares frontiers — a rank whose
+    frontier trails the group's leader by many collectives is drifting
+    toward the hang the debug watchdog would eventually catch.
+    """
+    if recorders is None:
+        recorders = all_recorders()
+    frontier: Dict[int, Dict[int, int]] = {}
+    for rank, recorder in recorders.items():
+        for record in recorder.records():
+            if record.t_start is None:
+                continue
+            per_group = frontier.setdefault(record.group_id, {})
+            if record.seq > per_group.get(rank, -1):
+                per_group[rank] = record.seq
+    return frontier
+
+
+# ----------------------------------------------------------------------
+# rendering
+# ----------------------------------------------------------------------
 def _fmt_record(record: dict) -> str:
     shape = tuple(record["shape"]) if record.get("shape") else "-"
     age = ""

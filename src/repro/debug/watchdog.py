@@ -32,6 +32,7 @@ from typing import Optional
 import traceback
 
 from repro.debug.desync import build_desync_report
+from repro.debug.flight_recorder import recorder_for
 from repro.utils.logging import logger, warn_once
 
 
@@ -107,7 +108,7 @@ class HangWatchdog:
     def publish_state(self, status: str = "running") -> None:
         """Publish this rank's flight-recorder snapshot for the group."""
         group = self.group
-        snapshot = group.flight_recorder.group_snapshot(group._group_id)
+        snapshot = recorder_for(group.global_rank).group_snapshot(group._group_id)
         snapshot["status"] = status
         blocked = getattr(group.hub, "blocked_receivers", None)
         if blocked is not None:
@@ -160,16 +161,7 @@ class HangWatchdog:
         self._answered_alarm = alarm_id
         self.publish_state()
 
-        record = getattr(work, "_debug_record", None)
-        if record is not None:
-            stuck = record.as_dict()
-        else:
-            meta = work.meta or {}
-            stuck = {"op": meta.get("op", work.description),
-                     "seq": meta.get("seq", -1),
-                     "group_id": group._group_id, "state": "started",
-                     "shape": None, "dtype": None,
-                     "nbytes": meta.get("bytes")}
+        stuck = work.record.as_dict()
 
         # Give peers' watchdogs a grace window to answer the alarm; ranks
         # that shut down already left a parting snapshot.

@@ -123,13 +123,6 @@ def _mark(rank: int, event: str, **args: Any) -> None:
     now = time.perf_counter()
     TRACER.record(event, now, now, cat="resilience", stream="resilience",
                   rank=rank, args=args)
-    # Mirror the incident into the health event log so the anomaly
-    # engine can attribute retransmit storms to their source edge.
-    from repro.telemetry.health import accounting as _health
-    from repro.telemetry.health.events import record_event
-
-    if _health.is_enabled():
-        record_event(rank, event, t=now, extra=dict(args) if args else None)
 
 
 def _collective_key(tag: Hashable) -> Hashable:

@@ -12,11 +12,15 @@ All ranks share one process clock (``perf_counter``), so cross-rank
 alignment is exact; timestamps are rebased to the earliest recorded
 span and expressed in microseconds, as the format requires.
 
+The ``comm`` rows are not spans: they are views of the per-rank
+collective records (:mod:`repro.debug.flight_recorder`), one bar per
+collective over its execution interval (:func:`comm_spans`).
+
 :func:`merged_trace_events` widens the picture into one timeline:
-telemetry spans, the :mod:`repro.debug` flight recorder's collective
-lifecycles, and :mod:`repro.resilience` retry/heartbeat instants all
-render as distinct tracks per rank — the span rows as duration events,
-the flight-recorder rows as ``op#seq`` lifecycle bars, and resilience
+telemetry spans, the same records' full lifecycles, and
+:mod:`repro.resilience` retry/heartbeat instants all render as distinct
+tracks per rank — the span rows as duration events, the ``flight`` rows
+as ``op#seq`` lifecycle bars (scheduled → completed), and resilience
 events as instant markers.  Because every source stamps the same
 ``perf_counter`` clock, a retransmit marker lines up exactly under the
 collective it delayed.
@@ -28,11 +32,35 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.telemetry.spans import SpanTracer, TRACER
+from repro.debug.flight_recorder import all_recorders
+from repro.telemetry.spans import SpanRecord, SpanTracer, TRACER
 
 #: Stable tid assignment so compute is always the top row per rank.
 _STREAM_ORDER = {"compute": 0, "comm": 1, "transport": 2,
-                 "resilience": 3, "flight": 4, "health": 5}
+                 "resilience": 3, "flight": 4}
+
+
+def comm_spans() -> List[SpanRecord]:
+    """Every executed collective record as a ``comm`` row span.
+
+    The span covers the record's execution interval (start → end) and
+    carries :meth:`~repro.debug.flight_recorder.CollectiveRecord.summary`
+    as its args (op, seq, group, bytes, algorithm, bucket, ...), plus
+    the error of a failed collective.
+    """
+    spans: List[SpanRecord] = []
+    for rank, recorder in sorted(all_recorders().items()):
+        for record in recorder.records():
+            if record.t_start is None or record.t_end is None:
+                continue
+            args = record.summary()
+            if record.error is not None:
+                args["error"] = record.error
+            spans.append(SpanRecord(
+                f"{record.op}#{record.seq}", "comm", "comm", rank,
+                record.t_start, record.t_end, 0, args,
+            ))
+    return spans
 
 
 def _tid_for(stream: str, streams: Dict[str, int]) -> int:
@@ -66,10 +94,11 @@ def _metadata_events(seen_tids: Dict[int, Dict[str, int]]) -> List[dict]:
 
 
 def trace_events(tracer: Optional[SpanTracer] = None) -> List[dict]:
-    """Trace Event Format records for every span the tracer holds."""
+    """Trace Event Format records for every span the tracer holds, plus
+    the ``comm`` rows of the collective records."""
     tracer = tracer or TRACER
     events: List[dict] = []
-    all_spans = tracer.spans()
+    all_spans = tracer.spans() + comm_spans()
     if not all_spans:
         return events
     epoch = min(span.t_start for span in all_spans)
@@ -113,50 +142,32 @@ def merged_trace_events(
     tracer: Optional[SpanTracer] = None,
     include_flight: bool = True,
     include_resilience: bool = True,
-    include_health: bool = True,
 ) -> List[dict]:
     """One timeline for every evidence source the runtime keeps.
 
-    Four tracks per rank, all on the shared ``perf_counter`` clock:
+    Three tracks per rank, all on the shared ``perf_counter`` clock:
 
-    * telemetry spans (the same rows :func:`trace_events` emits);
-    * the ``repro.debug`` flight recorder — one ``op#seq`` bar per
-      collective lifecycle (scheduled → completed), on a ``flight``
-      row; records that never finished render up to their last known
-      timestamp with the terminal state in ``args``;
+    * telemetry spans and ``comm`` rows (the rows :func:`trace_events`
+      emits);
+    * the collective records' lifecycles — one ``op#seq`` bar per
+      collective (scheduled → completed), on a ``flight`` row; records
+      that never finished render up to their last known timestamp with
+      the terminal state in ``args``;
     * ``repro.resilience`` events (retries, retransmits, corruption
       drops, heartbeats) — zero-duration spans rendered as instant
-      (``ph: "i"``) markers on a ``resilience`` row;
-    * the ``repro.telemetry.health`` event log — collective lifecycle
-      and bucket-launch marks (``kind#seq``) as instants on a
-      ``health`` row, carrying the ``(group, seq)`` trace context that
-      stitches the same collective across ranks.
+      (``ph: "i"``) markers on a ``resilience`` row.
     """
     tracer = tracer or TRACER
-    all_spans = tracer.spans()
-
-    flight_dumps: List[dict] = []
-    if include_flight:
-        from repro.debug.flight_recorder import all_recorders
-
-        flight_dumps = [rec.dump() for _, rec in sorted(all_recorders().items())]
-
-    health_events: List[dict] = []
-    if include_health:
-        from repro.telemetry.health.events import all_event_logs
-
-        for _, log in sorted(all_event_logs().items()):
-            health_events.extend(log.as_dicts())
+    all_spans = tracer.spans() + comm_spans()
+    flight = (
+        [(rank, record) for rank, recorder in sorted(all_recorders().items())
+         for record in recorder.records()]
+        if include_flight else []
+    )
 
     # One epoch across every source so the tracks stay aligned.
     starts = [span.t_start for span in all_spans]
-    starts.extend(
-        record["t_sched"]
-        for dump in flight_dumps
-        for record in dump.get("records", ())
-        if record.get("t_sched") is not None
-    )
-    starts.extend(event["t"] for event in health_events)
+    starts.extend(record.t_sched for _, record in flight)
     if not starts:
         return []
     epoch = min(starts)
@@ -202,52 +213,24 @@ def merged_trace_events(
             }
         )
 
-    for dump in flight_dumps:
-        rank = dump["rank"]
-        for record in dump.get("records", ()):
-            t_sched = record.get("t_sched")
-            if t_sched is None:
-                continue
-            t_close = record.get("t_end") or record.get("t_start") or t_sched
-            events.append(
-                {
-                    "name": f"{record['op']}#{record['seq']}",
-                    "cat": "flight",
-                    "ph": "X",
-                    "ts": (t_sched - epoch) * 1e6,
-                    "dur": max(0.0, t_close - t_sched) * 1e6,
-                    "pid": rank,
-                    "tid": tid(rank, "flight"),
-                    "args": {
-                        "state": record.get("state"),
-                        "group_id": record.get("group_id"),
-                        "nbytes": record.get("nbytes"),
-                        "context": record.get("context"),
-                        "error": record.get("error"),
-                    },
-                }
-            )
-
-    for event in health_events:
-        name = event["kind"]
-        if event.get("seq") is not None:
-            name = f"{name}#{event['seq']}"
-        args = {
-            key: event[key]
-            for key in ("iteration", "group", "seq", "op", "bucket",
-                        "nbytes", "extra")
-            if event.get(key) is not None
-        }
+    for rank, record in flight:
+        t_close = record.t_end or record.t_start or record.t_sched
         events.append(
             {
-                "name": name,
-                "cat": "health",
-                "ph": "i",
-                "s": "t",
-                "ts": (event["t"] - epoch) * 1e6,
-                "pid": event["rank"],
-                "tid": tid(event["rank"], "health"),
-                "args": args,
+                "name": f"{record.op}#{record.seq}",
+                "cat": "flight",
+                "ph": "X",
+                "ts": (record.t_sched - epoch) * 1e6,
+                "dur": max(0.0, t_close - record.t_sched) * 1e6,
+                "pid": rank,
+                "tid": tid(rank, "flight"),
+                "args": {
+                    "state": record.state,
+                    "group_id": record.group_id,
+                    "nbytes": record.nbytes,
+                    "context": record.context,
+                    "error": record.error,
+                },
             }
         )
 
@@ -257,13 +240,11 @@ def merged_trace_events(
 
 def export_merged_trace(path: str, tracer: Optional[SpanTracer] = None,
                         include_flight: bool = True,
-                        include_resilience: bool = True,
-                        include_health: bool = True) -> str:
-    """Write the merged (spans + flight + resilience + health) timeline;
+                        include_resilience: bool = True) -> str:
+    """Write the merged (spans + comm + flight + resilience) timeline;
     returns path."""
     events = merged_trace_events(tracer, include_flight=include_flight,
-                                 include_resilience=include_resilience,
-                                 include_health=include_health)
+                                 include_resilience=include_resilience)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w") as handle:

@@ -27,10 +27,11 @@ new plumbing:
 * ``health.collectives_accounted`` (counter) — denominator for rates.
 
 The stall attribution is collected by the collective algorithms
-themselves (:func:`note_recv_stall` from a thread-local accumulator the
-worker brackets with :func:`begin_collective` / :func:`end_collective`)
-— each process-group stream is its own thread, so accumulators never
-cross collectives.
+themselves: while the worker runs a collective with accounting on, the
+receive helper adds each ``recv`` wait to that collective's
+:class:`~repro.debug.flight_recorder.CollectiveRecord` (see
+:func:`stall_record`) — each process-group stream is its own thread, so
+a record never collects another collective's stalls.
 
 Everything here is gated on telemetry being enabled *and* the health
 kill switch (:func:`set_enabled`); while off, the hot path pays one
@@ -40,7 +41,7 @@ attribute check.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.telemetry.metrics import registry_for
 from repro.telemetry.spans import TRACER
@@ -52,7 +53,7 @@ _local = threading.local()
 
 
 def set_enabled(enabled: bool) -> None:
-    """Turn health accounting (and event logging) on or off globally."""
+    """Turn health accounting on or off globally."""
     global _ENABLED
     _ENABLED = bool(enabled)
 
@@ -62,44 +63,19 @@ def is_enabled() -> bool:
     return _ENABLED
 
 
-def active() -> bool:
-    """True when a bracketed collective is collecting on this thread.
+def collect_stalls(record) -> None:
+    """Route this thread's receive stalls to ``record`` (None stops)."""
+    _local.record = record
 
-    The algorithms' receive helper checks this one flag — cheaper than
-    re-testing tracer + kill switch per chunk, and naturally False on
-    threads (or calls) the worker did not bracket.
+
+def stall_record():
+    """The record collecting receive stalls on this thread, or None.
+
+    The algorithms' receive helper checks this one slot — cheaper than
+    re-testing tracer + kill switch per chunk, and naturally None on
+    threads (or calls) the worker did not route.
     """
-    return getattr(_local, "collecting", False)
-
-
-def begin_collective() -> None:
-    """Start stall collection for the collective about to run."""
-    _local.collecting = True
-    _local.stall_s = 0.0
-    _local.stall_by_src = {}
-    _local.chunks = 0
-
-
-def note_recv_stall(src: int, seconds: float) -> None:
-    """Attribute ``seconds`` of receive wait to sending rank ``src``."""
-    if not getattr(_local, "collecting", False):
-        return
-    _local.stall_s += seconds
-    by_src = _local.stall_by_src
-    by_src[src] = by_src.get(src, 0.0) + seconds
-    _local.chunks += 1
-
-
-def end_collective() -> Tuple[float, Dict[int, float], int]:
-    """Stop collecting; returns (total stall, per-source stall, chunks)."""
-    stall = getattr(_local, "stall_s", 0.0)
-    by_src = getattr(_local, "stall_by_src", {})
-    chunks = getattr(_local, "chunks", 0)
-    _local.collecting = False
-    _local.stall_s = 0.0
-    _local.stall_by_src = {}
-    _local.chunks = 0
-    return stall, by_src, chunks
+    return getattr(_local, "record", None)
 
 
 #: Ops whose payload crosses the bottleneck ~2(p−1)/p times (bus-bandwidth
@@ -195,51 +171,39 @@ def reset_instrument_cache() -> None:
         _instruments.clear()
 
 
-def record_collective(
-    rank: int,
-    meta: Optional[dict],
-    t_start: Optional[float],
-    t_end: Optional[float],
-    world: int,
-    backend: str,
-    stall_s: float,
-    stall_by_src: Dict[int, float],
-    chunks: int,
-) -> None:
+def record_collective(record, rank: int, world: int, backend: str) -> None:
     """Publish one executed collective's efficiency metrics.
 
-    Called from the process-group worker right after the collective
-    function returned; ``meta`` is the work's metadata (op, seq, bytes,
-    algorithm...).  Robust to missing fields — a collective without a
-    byte count (barrier) still accounts latency and stalls.
+    Called from the process-group worker once the collective's record is
+    closed.  Robust to missing fields — a collective without a byte
+    count (barrier) still accounts latency and stalls.
     """
-    if t_start is None or t_end is None:
+    if record.t_start is None or record.t_end is None:
         return
-    wall = max(0.0, t_end - t_start)
-    meta = meta or {}
-    op = meta.get("op", "unknown")
-    nbytes = int(meta.get("bytes", 0) or 0)
+    wall = max(0.0, record.t_end - record.t_start)
+    nbytes = record.nbytes or 0
+    stall_s = record.stall_s
     handles = _instruments_for(rank)
 
     handles.accounted.add(1)
     handles.latency.observe(wall)
     if stall_s > 0.0:
         handles.stall.add(stall_s)
-        for src, seconds in stall_by_src.items():
+        for src, seconds in (record.stall_by_src or {}).items():
             handles.stall_from_counter(src).add(seconds)
     if wall > 0.0:
         utilization = min(1.0, max(0.0, 1.0 - stall_s / wall))
         handles.utilization.observe(utilization)
     if nbytes > 0 and wall > 0.0 and world > 1:
-        busbw = bus_bytes(op, nbytes, world) / wall
+        busbw = bus_bytes(record.op, nbytes, world) / wall
         handles.busbw.observe(busbw / 1e9)
-        expected = expected_collective_s(backend, op, nbytes, world)
+        expected = expected_collective_s(backend, record.op, nbytes, world)
         if expected is not None:
             # 1.0 = exactly at the model; << 1.0 = far slower than the
             # hardware expectation (the IBM sick-link signal).
             handles.efficiency.observe(min(expected / wall, 10.0))
-    if chunks > 0:
-        handles.chunks.add(chunks)
+    if record.chunks > 0:
+        handles.chunks.add(record.chunks)
 
 
 def collecting_enabled() -> bool:

@@ -1,7 +1,7 @@
 """Rule-based anomaly attribution over the fused health signals.
 
 Detectors read the efficiency-accounting metrics, the resilience
-counters, and the cross-rank event log, and emit
+counters and spans, and the cross-rank collective records, and emit
 :class:`~repro.telemetry.health.diagnosis.Diagnosis` verdicts:
 
 * **persistent_straggler** — one rank's sends stall *multiple* peers:
@@ -16,15 +16,15 @@ counters, and the cross-rank event log, and emit
   fraction of its own earlier healthy level (paper Fig. 4 regression).
 * **retransmit_storm** — transport retry/retransmit/corruption counters
   grow far faster than collectives complete: a lossy or corrupting
-  wire, attributed to the receiving rank (and, when the event log saw
-  the incidents, to the modal source edge).
+  wire, attributed to the receiving rank (and, when the resilience
+  spans saw the incidents, to the modal source edge).
 * **desync_precursor** — one rank's collective-sequence frontier trails
   the group's leader by many collectives: the drift that ends in the
   hang the debug watchdog catches, visible while everyone is still
   alive.
 
 Two entry points share the rules: :func:`analyze_snapshots` fuses live
-registry snapshots + event logs (what ``ddp_stats()["health"]``
+registry snapshots + collective records (what ``ddp_stats()["health"]``
 serves), and :func:`analyze_ticks` replays a
 :meth:`~repro.telemetry.observatory.sampler.MetricsSampler.dump_jsonl`
 file offline (what ``tools/healthctl.py`` serves).  Both are pure
@@ -390,18 +390,19 @@ def _run_detectors(
 # ----------------------------------------------------------------------
 # live entry point
 # ----------------------------------------------------------------------
-def _storm_edges_from_events() -> Dict[int, Dict[int, int]]:
-    """incidents[dst][src] from the live event log's resilience marks."""
-    from repro.telemetry.health.events import all_event_logs
+def _storm_edges() -> Dict[int, Dict[int, int]]:
+    """incidents[dst][src] from the live resilience spans."""
+    from repro.telemetry.spans import TRACER
 
     edges: Dict[int, Dict[int, int]] = {}
-    for rank, log in all_event_logs().items():
-        for event in log.events():
-            if event.kind in ("retransmit", "retry", "corrupt_detected"):
-                src = (event.extra or {}).get("src")
-                if src is not None:
-                    by_src = edges.setdefault(rank, {})
-                    by_src[src] = by_src.get(src, 0) + 1
+    for span in TRACER.spans():
+        if span.cat == "resilience" and span.name in (
+            "retransmit", "retry", "corrupt_detected"
+        ):
+            src = (span.args or {}).get("src")
+            if src is not None:
+                by_src = edges.setdefault(span.rank, {})
+                by_src[src] = by_src.get(src, 0) + 1
     return edges
 
 
@@ -412,22 +413,22 @@ def analyze_snapshots(
     """Run every detector over live (or given) per-rank snapshots.
 
     With no arguments this is the live health check: all registries are
-    snapshotted, the event log supplies the collective frontier and
-    storm-edge attribution, and — live only — the diagnosis count is
-    published as the ``health.diagnoses_active`` gauge (rank −1) so a
-    Prometheus alert can fire on it.
+    snapshotted, the collective records supply the sequence frontier,
+    the resilience spans the storm-edge attribution, and — live only —
+    the diagnosis count is published as the ``health.diagnoses_active``
+    gauge (rank −1) so a Prometheus alert can fire on it.
     """
     th = thresholds or Thresholds()
     live = snapshots is None
     frontier: Dict[int, Dict[int, int]] = {}
     storm_edges: Optional[Dict[int, Dict[int, int]]] = None
     if live:
+        from repro.debug.flight_recorder import seq_frontier
         from repro.telemetry.metrics import all_snapshots
-        from repro.telemetry.health.events import seq_frontier
 
         snapshots = all_snapshots()
         frontier = seq_frontier()
-        storm_edges = _storm_edges_from_events()
+        storm_edges = _storm_edges()
     signals = _signals_from_snapshots(snapshots, frontier=frontier)
     diagnoses = _run_detectors(signals, th, storm_edges)
     if live:
@@ -526,8 +527,8 @@ def health_report(
     field is meaningful even with telemetry (and thus the accounting)
     disabled.
     """
+    from repro.debug.flight_recorder import all_recorders
     from repro.telemetry.health import accounting
-    from repro.telemetry.health.events import all_event_logs
     from repro.telemetry.metrics import registry_for
 
     snap = registry_for(rank).snapshot()
@@ -541,7 +542,7 @@ def health_report(
         return {k: summary[k] for k in _HIST_SUMMARY_FIELDS if k in summary}
 
     enabled = accounting.collecting_enabled()
-    log = all_event_logs().get(rank if rank is not None else -1)
+    ring = all_recorders().get(rank)
     return {
         "enabled": enabled,
         "overlap_ratio": float(
@@ -555,7 +556,7 @@ def health_report(
         "collectives_accounted": int(
             counters.get("health.collectives_accounted", 0)
         ),
-        "event_log_depth": log.depth() if log is not None else 0,
+        "record_ring_depth": ring.depth() if ring is not None else 0,
         "diagnoses": (
             [d.as_dict() for d in analyze_snapshots()] if enabled else []
         ),

@@ -26,8 +26,9 @@ Two sources feed the same math:
 * :func:`profile_from_detail` — the reducer's always-on
   ``IterationRecorder.last_detail`` (no telemetry required; this is
   what ``ddp_stats()["profile"]`` reports);
-* :class:`CriticalPathProfiler` — the span tracer's records, which
-  cover *every* retained iteration on *every* rank and so also support
+* :class:`CriticalPathProfiler` — the span tracer's iteration spans
+  plus the collective records' ``comm`` rows, which cover *every*
+  retained iteration on *every* rank and so also support
   the cross-rank straggler summary ("rank 2 finished last on 7/10
   iterations").
 """
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.chrome_trace import comm_spans
 from repro.telemetry.spans import SpanTracer, TRACER
 
 #: Span names the recorder emits for the per-iteration phases.
@@ -351,8 +353,9 @@ class CriticalPathProfiler:
                 key = (span.rank, args["iteration"])
                 bag = bags.setdefault(key, {"phases": {}, "delays": {}})
                 bag["delays"][args.get("bucket")] = span.duration
-            elif span.cat == "comm":
-                comm_by_rank.setdefault(span.rank, []).append(span)
+        # The comm rows are views of the collective records.
+        for span in comm_spans():
+            comm_by_rank.setdefault(span.rank, []).append(span)
         # Attribute comm spans to iterations by time containment of
         # their start (a bucket AllReduce is launched inside exactly one
         # iteration window, even if it drains into finalize).

@@ -231,6 +231,47 @@ class TestEngineFullMode:
 
 
 class TestEngineReplication:
+    def test_replica_store_is_silent_and_traced(self, tmp_path, caplog):
+        """Storing a buddy replica logs no warning, and with telemetry on
+        the ``checkpoint.replica_recv`` span names the owner, the
+        generation and the replication lag."""
+        from repro import telemetry
+
+        root = str(tmp_path)
+
+        def save_body(rank):
+            model = _train_zero2(rank, 2)
+            engine = CheckpointEngine(
+                root, rank=rank, world=2, hub=get_context().default_group.hub,
+                replication_factor=2, async_write=False,
+            )
+            engine.save_sharded(model, iteration=3)
+            engine.wait(5.0)
+            deadline = time.perf_counter() + 5.0
+            while (engine.stats()["replicas_received"] < 1
+                   and time.perf_counter() < deadline):
+                time.sleep(0.01)
+            stats = engine.stats()
+            engine.close()
+            return stats
+
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            with caplog.at_level("WARNING", logger="repro"):
+                results = run_distributed(2, save_body, backend="gloo")
+            spans = [s for s in telemetry.get_tracer().spans()
+                     if s.name == "checkpoint.replica_recv"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert all(s["replicas_received"] == 1 for s in results)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert sorted((s.rank, s.args["owner"]) for s in spans) == [(0, 1), (1, 0)]
+        for span in spans:
+            assert span.args["generation"] == 3
+            assert span.args["lag_s"] >= 0.0
+
     def test_restore_from_buddy_after_losing_local_dir(self, tmp_path):
         root = str(tmp_path)
 

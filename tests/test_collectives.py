@@ -166,15 +166,17 @@ class TestAllGatherReduceScatter:
         rng = np.random.default_rng(1)
         inputs = [rng.standard_normal(12) for _ in range(world)]
         expected = np.sum(inputs, axis=0)
-        chunks = np.array_split(np.arange(12), world)
+        spans = alg.partition_spans(12, world)
 
         def body(hub, rank):
-            return alg.reduce_scatter(hub, list(range(world)), rank, inputs[rank].copy())
+            return alg.reduce_scatter_flat(
+                hub, list(range(world)), rank, inputs[rank].copy()
+            )
 
         results, _ = run_ranks(world, body)
         for rank, out in enumerate(results):
-            owned = (rank + 1) % world
-            assert np.allclose(out, expected[chunks[owned]])
+            lo, hi = spans[rank]
+            assert np.allclose(out, expected[lo:hi])
 
     def test_barrier_completes(self):
         def body(hub, rank):

@@ -369,3 +369,39 @@ class TestCompressionRatios:
             return all(p.grad is not None for p in model.parameters())
 
         assert all(run_world(2, body, backend="gloo"))
+
+
+class TestHookedBucketAttribution:
+    @pytest.mark.parametrize("hook", [None, comm_hooks.fp16_compress_hook])
+    def test_every_allreduce_record_names_its_bucket(self, hook):
+        """Hooked buckets are labelled at schedule time like native ones,
+        so every allreduce record (and its comm trace row) carries the
+        reducer bucket that launched it."""
+        from repro import telemetry
+        from repro.debug import all_recorders
+
+        iterations = 3
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            def body(rank):
+                model = small_classifier()
+                ddp = DistributedDataParallel(model, bucket_cap_mb=0.0001,
+                                              comm_hook=hook)
+                shard = slice(rank * 4, (rank + 1) * 4)
+                for _ in range(iterations):
+                    model.zero_grad()
+                    nn.CrossEntropyLoss()(ddp(Tensor(X[shard])), Y[shard]).backward()
+                return len(ddp.reducer.buckets)
+
+            num_buckets = run_world(2, body, backend="gloo")[0]
+            assert num_buckets > 1
+            for recorder in all_recorders().values():
+                buckets = [r.bucket for r in recorder.records() if r.op == "allreduce"]
+                assert sorted(buckets) == sorted(list(range(num_buckets)) * iterations)
+            comm = [e for e in telemetry.trace_events()
+                    if e.get("cat") == "comm" and e["args"]["op"] == "allreduce"]
+            assert comm and all("bucket" in e["args"] for e in comm)
+        finally:
+            telemetry.disable()
+            telemetry.reset()

@@ -2,6 +2,8 @@
 monitored barrier, and the shutdown-unwedging regression."""
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.core import DistributedDataParallel
 from repro.core.bucket import compute_bucket_assignment
 from repro.core.reducer import Reducer, ReducerError
 from repro.debug import (
+    CollectiveRecord,
     FlightRecorder,
     all_recorders,
     build_desync_report,
@@ -67,20 +70,21 @@ class TestFlightRecorder:
     def test_ring_drops_oldest(self):
         recorder = FlightRecorder(rank=0, capacity=4)
         for seq in range(6):
-            recorder.record_scheduled(seq, "allreduce", group_id=0)
+            recorder.append(CollectiveRecord(0, seq, "allreduce"))
         assert recorder.depth() == 4
         assert recorder.dropped == 2
         assert [r.seq for r in recorder.records()] == [2, 3, 4, 5]
 
     def test_lifecycle_and_snapshot(self):
         recorder = FlightRecorder(rank=1)
-        first = recorder.record_scheduled(
-            0, "allreduce", 0, shape=(4,), dtype="float64", nbytes=32
-        )
-        recorder.mark_started(first)
-        recorder.mark_completed(first)
-        second = recorder.record_scheduled(1, "broadcast", 0, context="bucket 2")
-        recorder.mark_started(second)
+        first = recorder.append(CollectiveRecord(
+            0, 0, "allreduce", fingerprint("allreduce", np.zeros(4)), nbytes=32
+        ))
+        first.start()
+        first.close()
+        with collective_context("bucket 2"):
+            second = recorder.append(CollectiveRecord(0, 1, "broadcast"))
+        second.start()
 
         snap = recorder.group_snapshot(0)
         assert snap["last_completed"]["seq"] == 0
@@ -89,15 +93,15 @@ class TestFlightRecorder:
         assert snap["inflight"]["context"] == "bucket 2"
         assert len(snap["tail"]) == 2
 
-        recorder.mark_completed(second, error=RuntimeError("boom"))
+        second.close(RuntimeError("boom"))
         assert recorder.inflight(0) is None
         assert recorder.records()[-1].state == "failed"
         assert "boom" in recorder.records()[-1].error
 
     def test_records_filter_by_group(self):
         recorder = FlightRecorder(rank=0)
-        recorder.record_scheduled(0, "allreduce", group_id=1)
-        recorder.record_scheduled(0, "allreduce", group_id=2)
+        recorder.append(CollectiveRecord(1, 0, "allreduce"))
+        recorder.append(CollectiveRecord(2, 0, "allreduce"))
         assert len(recorder.records(group_id=1)) == 1
         assert recorder.group_snapshot(2)["last_scheduled"]["group_id"] == 2
 
@@ -249,7 +253,7 @@ class TestMismatchDiagnosis:
 
 class TestWorkMeta:
     def test_timeout_error_names_collective_meta(self):
-        work = Work("allreduce#3", {"op": "allreduce", "seq": 3, "bytes": 64})
+        work = Work("allreduce#3", CollectiveRecord(0, 3, "allreduce", nbytes=64))
         with pytest.raises(CollectiveTimeoutError) as excinfo:
             work.wait(timeout=0.01)
         message = str(excinfo.value)
@@ -264,6 +268,32 @@ class TestWorkMeta:
         work._complete(CollectiveTimeoutError("bare transport timeout"))
         with pytest.raises(CollectiveTimeoutError, match="rich desync report"):
             work.wait(timeout=0.1)
+
+    def test_first_completion_wins_under_contention(self):
+        """Racing completers (worker, watchdog, caller timeout): exactly
+        one closes the record, and the record keeps that one's error."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                record = CollectiveRecord(0, 0, "allreduce")
+                winners = []
+
+                def close(i):
+                    if record.close(CollectiveTimeoutError(f"completer {i}")):
+                        winners.append(i)
+
+                threads = [threading.Thread(target=close, args=(i,))
+                           for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(winners) == 1
+                assert record.error.endswith(f"completer {winners[0]}")
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestMonitoredBarrier:

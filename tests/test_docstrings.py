@@ -3,7 +3,8 @@
 Wraps ``tools/check_docstrings.py`` (the same script CI runs as a
 standalone step) so the requirement is enforced by the tier-1 suite
 too: every public module, class, and function in the communication
-layer must carry a docstring.
+layer must carry a docstring.  Also checks that ``tools/check_docs.py``
+catches docs naming a module path that no longer exists.
 """
 
 import sys
@@ -23,3 +24,14 @@ def test_public_comm_api_has_docstrings():
             for line, msg in check_file(target)
         )
     assert not problems, "missing docstrings:\n" + "\n".join(problems)
+
+
+def test_docs_check_flags_a_deleted_module_path():
+    """``tools/check_docs.py`` resolves whole dotted paths, so a doc
+    still naming a deleted submodule fails the gate."""
+    from check_docs import check_module_refs
+
+    docs = [("docs/x.md", "`repro.telemetry.health.Thresholds` and "
+                          "`repro.telemetry.health.events`")]
+    problems = check_module_refs(docs, verbose=False)
+    assert len(problems) == 1 and "repro.telemetry.health.events" in problems[0]

@@ -1,9 +1,10 @@
-"""Comm health engine: efficiency accounting, causal event log, attribution.
+"""Comm health engine: efficiency accounting, causal timeline, attribution.
 
 Covers the health acceptance surface: per-collective efficiency metrics
 (achieved bus bandwidth, chunk-pipeline utilization, receive-stall
 attribution) flowing into ``ddp_stats()["health"]`` and Prometheus, the
-cross-rank causal event log and its stitched timeline, the rule-based
+collective records stitched into a cross-rank causal timeline, the
+agreement of every view of those records, the rule-based
 anomaly detectors on synthetic signals, and — the headline — a seeded
 fault matrix where injected faults yield the *correct* attributed
 diagnosis on every seed while fault-free runs stay silent.
@@ -30,15 +31,22 @@ from repro.telemetry.health import (
     RETRANSMIT_STORM,
     SLOW_LINK,
     Diagnosis,
-    EventLog,
     analyze_snapshots,
     analyze_ticks,
     merge_causal_timeline,
-    record_event,
     render_diagnoses,
     seq_frontier,
 )
 from repro.core import DistributedDataParallel
+from repro.debug import (
+    CollectiveRecord,
+    FlightRecorder,
+    collective_context,
+    dump_all,
+    get_debug_level,
+    recorder_for,
+    set_debug_level,
+)
 from repro.utils import manual_seed
 
 WORLD = 4
@@ -75,43 +83,45 @@ def _train(rank, iterations=5, width=96, bucket_cap_mb=0.02):
 
 
 # ----------------------------------------------------------------------
-# event log + causal stitching (unit)
+# collective records + causal stitching (unit)
 # ----------------------------------------------------------------------
-class TestEventLog:
+class TestRecordTimeline:
     def test_ring_is_bounded_and_counts_drops(self):
-        log = EventLog(rank=0, capacity=8)
+        ring = FlightRecorder(rank=0, capacity=8)
         for seq in range(12):
-            log.record("start", group=0, seq=seq)
-        assert log.depth() == 8
-        assert log.dropped == 4
-        assert [e.seq for e in log.events()] == list(range(4, 12))
+            ring.append(CollectiveRecord(0, seq, "allreduce"))
+        assert ring.depth() == 8
+        assert ring.dropped == 4
+        assert [r.seq for r in ring.records()] == list(range(4, 12))
 
     def test_merge_stitches_by_group_seq_and_measures_skew(self):
-        logs = {rank: EventLog(rank=rank) for rank in (0, 1)}
-        logs[0].record("start", t=1.00, group=0, seq=5, op="allreduce", bucket=2)
-        logs[1].record("start", t=1.08, group=0, seq=5, op="allreduce")
-        logs[0].record("complete", t=1.20, group=0, seq=5)
-        logs[1].record("heartbeat", t=0.5)  # no trace context
-        timeline = merge_causal_timeline(logs)
-        keyed = [r for r in timeline if r["seq"] is not None]
-        assert len(keyed) == 1
-        record = keyed[0]
+        rings = {rank: FlightRecorder(rank) for rank in (0, 1)}
+        with collective_context("bucket 2", bucket=2):
+            first = rings[0].append(CollectiveRecord(0, 5, "allreduce"))
+        second = rings[1].append(CollectiveRecord(0, 5, "allreduce"))
+        first.close()
+        first.t_sched, first.t_start, first.t_end = 0.95, 1.00, 1.20
+        second.t_sched, second.t_start = 0.97, 1.08
+        timeline = merge_causal_timeline(rings)
+        assert len(timeline) == 1
+        record = timeline[0]
+        assert (record["group"], record["seq"]) == (0, 5)
         assert record["ranks"] == [0, 1]
         assert record["op"] == "allreduce" and record["bucket"] == 2
         assert record["start_skew_s"] == pytest.approx(0.08)
-        assert [e["kind"] for e in record["events"]] == [
-            "start", "start", "complete"
+        assert [(e["kind"], e["rank"]) for e in record["events"]] == [
+            ("schedule", 0), ("schedule", 1), ("start", 0), ("start", 1),
+            ("complete", 0),
         ]
-        loose = [r for r in timeline if r["seq"] is None]
-        assert len(loose) == 1 and loose[0]["events"][0]["kind"] == "heartbeat"
+        assert (record["t_first"], record["t_last"]) == (0.95, 1.20)
 
     def test_seq_frontier_tracks_highest_started_seq(self):
-        logs = {rank: EventLog(rank=rank) for rank in (0, 1)}
+        rings = {rank: FlightRecorder(rank) for rank in (0, 1)}
         for seq in range(6):
-            logs[0].record("start", group=0, seq=seq)
-        logs[1].record("start", group=0, seq=1)
-        logs[1].record("schedule", group=0, seq=9)  # scheduled != started
-        assert seq_frontier(logs) == {0: {0: 5, 1: 1}}
+            rings[0].append(CollectiveRecord(0, seq, "allreduce")).start()
+        rings[1].append(CollectiveRecord(0, 1, "allreduce")).start()
+        rings[1].append(CollectiveRecord(0, 9, "allreduce"))  # scheduled != started
+        assert seq_frontier(rings) == {0: {0: 5, 1: 1}}
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +205,8 @@ class TestDetectors:
 
     def test_desync_precursor_reads_the_live_event_frontier(self):
         for seq in range(20):
-            record_event(0, "start", group=0, seq=seq)
-        record_event(1, "start", group=0, seq=2)
+            recorder_for(0).append(CollectiveRecord(0, seq, "allreduce")).start()
+        recorder_for(1).append(CollectiveRecord(0, 2, "allreduce")).start()
         diagnoses = analyze_snapshots()
         assert [d.kind for d in diagnoses] == [DESYNC_PRECURSOR]
         assert diagnoses[0].culprit_rank == 1
@@ -233,7 +243,7 @@ class TestEfficiencyAccounting:
         latency = health["collective_latency_s"]
         assert latency["count"] == health["collectives_accounted"]
         assert health["recv_stall_s"] >= 0.0
-        assert health["event_log_depth"] > 0
+        assert health["record_ring_depth"] > 0
         # gloo has a cost model, so the expectation ratio rides along.
         assert health["model_efficiency"] is not None
         assert health["diagnoses"] == []  # healthy run stays silent
@@ -272,8 +282,47 @@ class TestEfficiencyAccounting:
         assert not health["enabled"]
         assert health["collectives_accounted"] == 0
         assert health["achieved_busbw_gbps"] is None
-        assert health["event_log_depth"] == 0
+        assert health["record_ring_depth"] == 0
         assert health["diagnoses"] == []
+
+
+# ----------------------------------------------------------------------
+# one record, many views
+# ----------------------------------------------------------------------
+class TestViewsAgree:
+    def test_every_view_sees_the_same_collectives(self):
+        """The flight dump, the causal timeline, the Chrome ``comm`` rows
+        and the health accounting all read one record per collective."""
+        telemetry.enable()
+        previous = get_debug_level()
+        set_debug_level("INFO")
+        try:
+            run_world(2, _train, backend="gloo", timeout=60.0)
+        finally:
+            set_debug_level(previous)
+
+        flight = {
+            dump["rank"]: {(r["group_id"], r["seq"]) for r in dump["records"]}
+            for dump in dump_all()
+        }
+        assert set(flight) == {0, 1} and flight[0]
+        timeline = {(entry["group"], entry["seq"]): entry["ranks"]
+                    for entry in merge_causal_timeline()}
+        comm = {0: set(), 1: set()}
+        for event in telemetry.trace_events():
+            if event.get("cat") == "comm":
+                comm[event["pid"]].add((event["args"]["group"], event["args"]["seq"]))
+        accounted = {
+            rank: telemetry.registry_for(rank).snapshot()["counters"][
+                "health.collectives_accounted"
+            ]
+            for rank in (0, 1)
+        }
+        for rank in (0, 1):
+            assert comm[rank] == flight[rank]
+            assert {key for key, ranks in timeline.items() if rank in ranks} == flight[rank]
+            assert accounted[rank] == len(flight[rank])
+        assert set(timeline) == flight[0] == flight[1]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.comm import (
     new_round_robin_group,
 )
 from repro.comm.process_group import ReduceOp, Work
+from repro.debug import get_debug_level, set_debug_level
 
 from conftest import run_world
 
@@ -71,12 +72,12 @@ class TestBasicCollectives:
     def test_reduce_scatter(self):
         def body(rank):
             pg = get_context().default_group
-            return pg.reduce_scatter(np.arange(4.0)).tolist()
+            return pg.reduce_scatter_flat(np.arange(4.0)).tolist()
 
         results = run_world(2, body, backend="gloo")
-        # each rank owns chunk (rank+1) % 2 of sum = [0,2,4,6]
-        assert results[0] == [4.0, 6.0]
-        assert results[1] == [0.0, 2.0]
+        # rank r owns span r of sum = [0,2,4,6]
+        assert results[0] == [0.0, 2.0]
+        assert results[1] == [4.0, 6.0]
 
     def test_barrier(self):
         def body(rank):
@@ -141,6 +142,45 @@ class TestConsistencyChecking:
             return True
 
         assert run_world(2, body, backend="gloo") == [True, True]
+
+
+class TestSignatureKeys:
+    @pytest.mark.parametrize("level", ["OFF", "DETAIL"])
+    def test_completed_collectives_leave_no_signature_keys(self, level):
+        """The last rank to compare a collective's signature deletes its
+        store keys, so a long run's store stays flat."""
+        previous = get_debug_level()
+        set_debug_level(level)
+        try:
+            def body(rank):
+                pg = get_context().default_group
+                for _ in range(500):
+                    pg.allreduce(np.ones(2))
+                # A barrier completes on a rank only after every rank
+                # has compared its signature, so no key may survive it.
+                pg.barrier()
+                return pg.store.keys("pg0/sig/")
+
+            assert run_world(3, body, backend="gloo") == [[], [], []]
+        finally:
+            set_debug_level(previous)
+
+    def test_mismatch_keeps_keys_and_field_diff(self):
+        seen = {}
+
+        def body(rank):
+            pg = get_context().default_group
+            try:
+                pg.allreduce(np.zeros(4 if rank == 2 else 3))
+            except CollectiveMismatchError as exc:
+                seen["message"] = str(exc)
+                seen["keys"] = pg.store.keys("pg0/sig/0")
+                raise
+
+        with pytest.raises(RuntimeError, match="mismatch"):
+            run_world(3, body, backend="gloo", timeout=3)
+        assert "shape: (4,) != (3,)" in seen["message"]
+        assert "pg0/sig/0" in seen["keys"]
 
 
 class TestBackendPersonalities:

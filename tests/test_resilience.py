@@ -19,7 +19,7 @@ from repro.comm import Store, run_distributed
 from repro.comm.process_group import CollectiveTimeoutError, Work
 from repro.comm.transport import TransportHub, TransportTimeoutError
 from repro.core import DistributedDataParallel
-from repro.debug.flight_recorder import FAILED, FlightRecorder
+from repro.debug.flight_recorder import FAILED, CollectiveRecord, FlightRecorder
 from repro.optim import SGD
 from repro.resilience import (
     FaultPlan,
@@ -199,10 +199,9 @@ class TestWorkWaitTimeout:
 
     def test_wait_timeout_fails_flight_record(self):
         recorder = FlightRecorder(rank=0)
-        record = recorder.record_scheduled(seq=3, op="allreduce", group_id=0)
-        recorder.mark_started(record)
-        work = Work("allreduce#3")
-        work._debug_record = record
+        record = recorder.append(CollectiveRecord(0, 3, "allreduce"))
+        record.start()
+        work = Work("allreduce#3", record)
         with pytest.raises(CollectiveTimeoutError):
             work.wait(timeout=0.01)
         assert record.state == FAILED

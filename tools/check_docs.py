@@ -12,11 +12,10 @@ Three checks over ``docs/*.md``, ``README.md``, and
 2. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
-3. **Stale module references** — every `` `repro.<something>` ``
-   reference must name an importable module path prefix: the first
-   segment after ``repro.`` has to exist as ``src/repro/<segment>``
-   (package or module) or as an attribute of the ``repro`` package.
-   Renaming a package without sweeping the docs fails here.
+3. **Stale module references** — every ``repro.a.b.c`` reference must
+   resolve segment by segment, each one an attribute of the previous
+   object or an importable submodule.  Renaming or deleting a module
+   (or a public name) without sweeping the docs fails here.
 
 Usage:
     python tools/check_docs.py            # check, exit non-zero on failure
@@ -26,6 +25,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import sys
@@ -36,7 +36,7 @@ DOC_FILES = ["README.md", "examples/README.md"]
 
 ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
-MODULE_REF_RE = re.compile(r"\brepro\.([a-zA-Z_][a-zA-Z0-9_]*)")
+MODULE_REF_RE = re.compile(r"\brepro(?:\.[a-zA-Z_][a-zA-Z0-9_]*)+")
 
 
 def doc_paths():
@@ -131,32 +131,36 @@ def check_links(docs, verbose):
     return problems
 
 
-def check_module_refs(docs, verbose):
-    """Check 3: repro.<segment> references resolve to real modules."""
-    sys.path.insert(0, SRC_DIR)
-    import repro
+def _resolves(ref: str) -> bool:
+    """Whether dotted ``ref`` names a real module, attribute chain, or
+    a mix (``repro.telemetry.health.Thresholds``)."""
+    parts = ref.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:depth]))
+        except ImportError:
+            return False
+    return True
 
+
+def check_module_refs(docs, verbose):
+    """Check 3: repro.* references resolve to real modules/attributes."""
+    sys.path.insert(0, SRC_DIR)
     problems = []
     refs = set()
     for path, text in docs:
         rel = os.path.relpath(path, REPO_ROOT)
         for match in MODULE_REF_RE.finditer(text):
-            segment = match.group(1)
-            refs.add(segment)
-            pkg_dir = os.path.join(SRC_DIR, "repro", segment)
-            module_file = pkg_dir + ".py"
-            if (
-                os.path.isdir(pkg_dir)
-                or os.path.isfile(module_file)
-                or hasattr(repro, segment)
-            ):
-                continue
-            problems.append(
-                f"{rel}: stale reference repro.{segment} "
-                f"(no src/repro/{segment} module/package or repro attribute)"
-            )
+            ref = match.group(0)
+            refs.add(ref)
+            if not _resolves(ref):
+                problems.append(f"{rel}: stale reference {ref} (does not resolve)")
     if verbose:
-        print(f"  module refs: {len(refs)} distinct repro.* prefixes checked")
+        print(f"  module refs: {len(refs)} distinct repro.* paths checked")
     return problems
 
 
