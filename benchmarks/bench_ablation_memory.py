@@ -4,7 +4,7 @@ The paper's related work positions ZeRO as trading training speed for
 memory by partitioning parameters, gradients, and optimizer states
 across DDP instances.  This bench quantifies the per-GPU footprint of
 each stage for both evaluation models with Adam, plus the measured
-optimizer-state sharding of this library's ZeroRedundancyOptimizer.
+optimizer-state sharding of this library's ZeRO-1 ``ShardedOptimizer``.
 """
 
 from repro.simulation.memory import memory_report

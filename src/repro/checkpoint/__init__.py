@@ -8,6 +8,9 @@ Layers, bottom up:
 - :mod:`repro.checkpoint.manifest` — commits: per-generation manifests
   written last as the atomic multi-file commit record, audit via
   :func:`verify_generation`, generation-numbered retention.
+- :mod:`repro.checkpoint.payload` — the one training payload codec
+  (``state/ opt/ meta/ extra/``), its single-file container, and the
+  install routine every restore goes through.
 - :mod:`repro.checkpoint.engine` — orchestration:
   :class:`CheckpointEngine` does snapshot-then-write async saves, buddy
   replication over the transport hub, and newest-recoverable restore
@@ -42,6 +45,13 @@ from repro.checkpoint.manifest import (
     verify_generation,
     write_manifest,
 )
+from repro.checkpoint.payload import (
+    install_training_payload,
+    load_training_checkpoint,
+    parse_training_payload,
+    save_training_checkpoint,
+    training_payload,
+)
 from repro.checkpoint.engine import (
     ASYNC_ENV,
     REPLICATION_ENV,
@@ -74,6 +84,11 @@ __all__ = [
     "read_manifest",
     "verify_generation",
     "write_manifest",
+    "install_training_payload",
+    "load_training_checkpoint",
+    "parse_training_payload",
+    "save_training_checkpoint",
+    "training_payload",
     "ASYNC_ENV",
     "REPLICATION_ENV",
     "CheckpointEngine",

@@ -19,11 +19,17 @@ world``.  Each buddy persists them under
 included), so losing any single rank's local directory leaves every
 shard of the newest generation recoverable from a surviving buddy.
 
-Restore (:meth:`CheckpointEngine.load_latest`) walks committed
-generations newest-first and, per source, prefers the owner's local
-files but silently falls back to any CRC-valid replica; a generation
-with an unrecoverable shard is skipped entirely (atomic multi-file
-semantics: a commit restores whole or not at all).
+Both commit modes hold one payload (:mod:`repro.checkpoint.payload`):
+a full commit carries it verbatim in rank 0's ``full.npz``; a sharded
+commit spreads it over every rank's ``shard.npz`` and decodes back into
+it (:func:`~repro.sharded.checkpoint.payload_from_shards`).  Restore
+(:meth:`CheckpointEngine.load_latest`) walks committed generations
+newest-first and, per source, prefers the owner's local files but
+silently falls back to any CRC-valid replica; a generation with an
+unrecoverable shard is skipped entirely (atomic multi-file semantics: a
+commit restores whole or not at all).  The recovered payload goes
+through the one install routine, so either mode restores into a plain,
+DDP, or ZeRO-1/2/3 target at any world size.
 
 Generation numbers are the save's iteration count, so every rank of a
 collective save agrees on the commit id without communication, and
@@ -61,6 +67,7 @@ from repro.checkpoint.manifest import (
     load_generation_manifest,
     manifest_filename,
 )
+from repro.checkpoint.payload import install_training_payload, training_payload
 from repro.telemetry.spans import TRACER
 from repro.utils.logging import logger
 
@@ -254,8 +261,6 @@ class CheckpointEngine:
         suffices) but every rank commits a manifest, so restores can
         tell "rank never saved" from "rank's files were lost".
         """
-        from repro.utils.checkpoint import training_payload
-
         t0 = time.perf_counter()
         files: Dict[str, Dict[str, np.ndarray]] = {}
         if self.rank == 0:
@@ -268,7 +273,6 @@ class CheckpointEngine:
             world_size=self.world,
             iteration=int(iteration),
             mode="full",
-            meta={"writer_rank": 0},
         )
         return self._submit(files, manifest, t0)
 
@@ -277,9 +281,10 @@ class CheckpointEngine:
         """Snapshot one rank's shard of a ``repro.sharded`` wrapper.
 
         Every rank calls this at the same boundary (no collectives —
-        each rank persists only its own spans plus, on rank 0, the
-        replicated buffers/meta).  The manifest's span table is what
-        lets :meth:`load_latest` reshard into a different world size.
+        each rank persists only its own spans and ``extra``; rank 0
+        adds the replicated buffers).  The manifest's span table and
+        bucket entries are what let :meth:`load_latest` decode the
+        shards back into the positional payload.
         """
         from repro.sharded.checkpoint import shard_payload
 
@@ -540,79 +545,66 @@ class CheckpointEngine:
                 )
         return None
 
-    def load_latest(self, module=None, optimizer=None, model=None) -> Optional[dict]:
+    def load_latest(self, module, optimizer=None) -> Optional[dict]:
         """Restore the newest fully-recoverable generation.
 
-        ``module``/``optimizer`` restore a ``mode="full"`` commit;
-        ``model`` (a ``repro.sharded`` wrapper) restores a
-        ``mode="sharded"`` commit, resharding into the wrapper's own
-        (possibly different) world size.  Returns ``None`` when no
-        committed generation survives verification, else a dict with
-        ``iteration``, ``generation``, ``extra``, ``saved_world_size``,
-        and per-shard ``sources`` (``"local"`` / ``"replica"``).
+        Either commit mode restores into ``module``/``optimizer``: a
+        plain or DDP module with its optimizer, or a ``repro.sharded``
+        wrapper with ``wrapper.optimizer`` — at any world size (the
+        install is local; sharded targets re-slice into their own
+        spans).  Returns ``None`` when no committed generation survives
+        verification, else a dict with ``iteration``, ``generation``,
+        ``extra``, ``saved_world_size``, and per-rank ``sources``
+        (``"local"`` / ``"replica"``).
         """
         table = self._committed_generations()
         for generation in sorted(table, reverse=True):
             restored = self._try_restore(
-                generation, table[generation], module, optimizer, model
+                generation, table[generation], module, optimizer
             )
             if restored is not None:
                 return restored
         return None
 
-    def _try_restore(self, generation, by_rank, module, optimizer, model):
-        sample = next(iter(by_rank.values()))[0][1]
-        if sample.mode == "full":
-            writer = int(sample.meta.get("writer_rank", 0))
-            sources = by_rank.get(writer)
-            if not sources:
-                return None
-            loaded = self._load_rank_payload(sources, "full.npz")
-            if loaded is None:
-                return None
-            payload, manifest, directory = loaded
-            if module is None:
-                return None
-            from repro.utils.checkpoint import install_training_payload
-
-            info = install_training_payload(payload, module, optimizer)
-            info.update(
-                generation=generation,
-                saved_world_size=manifest.world_size,
-                sources={
-                    writer: "local" if directory == os.path.join(
-                        self.directory, f"rank{writer}"
-                    ) else "replica"
-                },
-            )
-            return info
-        # Sharded commit: every saving rank's shard must be recoverable.
-        if model is None:
+    def _try_restore(self, generation, by_rank, module, optimizer):
+        if 0 not in by_rank:
             return None
-        saved_world = sample.world_size
+        head = by_rank[0][0][1]
+        sharded = head.mode == "sharded"
+        name = "shard.npz" if sharded else "full.npz"
+        owners = range(head.world_size) if sharded else [0]
         shards: Dict[int, Tuple[Dict[str, np.ndarray], Manifest]] = {}
-        sources_used: Dict[int, str] = {}
-        for old_rank in range(saved_world):
-            slots = by_rank.get(old_rank)
-            if not slots:
-                return None
-            loaded = self._load_rank_payload(slots, "shard.npz")
+        sources: Dict[int, str] = {}
+        for owner in owners:
+            # A rank directory may still hold a same-numbered commit of
+            # an older, differently sized world; only rank 0's world
+            # counts.
+            slots = [
+                (directory, manifest)
+                for directory, manifest in by_rank.get(owner, [])
+                if manifest.world_size == head.world_size
+            ]
+            loaded = self._load_rank_payload(slots, name)
             if loaded is None:
                 return None
-            payload, manifest, directory = loaded
-            shards[old_rank] = (payload, manifest)
-            sources_used[old_rank] = (
+            arrays, manifest, directory = loaded
+            shards[owner] = (arrays, manifest)
+            sources[owner] = (
                 "local"
-                if directory == os.path.join(self.directory, f"rank{old_rank}")
+                if directory == os.path.join(self.directory, f"rank{owner}")
                 else "replica"
             )
-        from repro.sharded.checkpoint import load_shard_payloads
+        if sharded:
+            from repro.sharded.checkpoint import payload_from_shards
 
-        info = load_shard_payloads(model, shards)
+            payload = payload_from_shards(shards)
+        else:
+            payload = shards[0][0]
+        info = install_training_payload(payload, module, optimizer)
         info.update(
             generation=generation,
-            saved_world_size=saved_world,
-            sources=sources_used,
+            saved_world_size=head.world_size,
+            sources=sources,
         )
         return info
 

@@ -1,21 +1,27 @@
-"""Model/optimizer checkpointing.
+"""The training payload: the one codec every checkpoint container holds.
 
 In data parallel training, replicas are identical by construction, so
-checkpointing is a rank-0-only concern: save on rank 0, load everywhere
-(or load before wrapping with DDP and let the constructor broadcast).
+one copy of the training state is the whole checkpoint.  That copy is a
+flat array mapping:
 
-:func:`save_training_checkpoint` extends the plain state_dict snapshot
-with optimizer state and the iteration counter — the restart unit the
-elastic supervisor (:mod:`repro.resilience`) restores surviving ranks
-from after a shrink.  Writes are atomic (tmp file + ``os.replace``) so
-a rank dying mid-save can never leave a half-written checkpoint behind,
-and every file carries :mod:`repro.checkpoint.format`'s CRC trailer so
-a *torn* write — a crash after the rename, a disk that lied — is
-rejected at load time with :class:`~repro.checkpoint.format.ChecksumError`
-instead of unpickling garbage.  Files written before the trailer existed
-remain loadable (the trailer is appended after an ordinary ``.npz``, and
-its absence is accepted); structurally damaged legacy files also raise
-:class:`ChecksumError`, never a bare ``BadZipFile``.
+* ``state/{name}`` — the model's ``state_dict()`` (parameters, buffers);
+* ``opt/{index}/{key}`` — positional optimizer state, exactly as
+  :meth:`~repro.optim.optimizer.Optimizer.state_dict` keys it;
+* ``meta/iteration`` and ``meta/opt_num_params`` (the positional guard);
+* ``extra/{key}`` — caller metadata.
+
+A model-only payload (``optimizer=None``) is simply the subset without
+``opt/``.  Two containers hold it: a single verified file
+(:func:`save_training_checkpoint`, atomic and CRC-trailed by
+:mod:`repro.checkpoint.format`) and a
+:class:`~repro.checkpoint.engine.CheckpointEngine` commit — either a
+full commit carrying the mapping verbatim, or a sharded commit whose
+per-rank spans decode back into it
+(:func:`~repro.sharded.checkpoint.payload_from_shards`).
+:func:`install_training_payload` then restores it into any target: a
+plain or DDP module with its optimizer, or a ``repro.sharded`` wrapper
+with its :class:`~repro.sharded.optimizer.ShardedOptimizer`, at any
+world size.
 """
 
 from __future__ import annotations
@@ -24,56 +30,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.checkpoint.format import (
-    ChecksumError,
-    load_verified_npz,
-    npz_bytes,
-    write_verified,
-)
-
-__all__ = [
-    "ChecksumError",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_training_checkpoint",
-    "load_training_checkpoint",
-    "parse_training_payload",
-    "install_training_payload",
-    "training_payload",
-]
-
-
-def _atomic_savez(path: str, payload: Dict, fault_hook=None, rank: int = 0) -> None:
-    write_verified(path, npz_bytes(payload), fault_hook=fault_hook, rank=rank)
-
-
-def save_checkpoint(path: str, module, extra: Dict | None = None) -> None:
-    """Write a model's state_dict (plus optional scalar metadata) as npz."""
-    state = module.state_dict()
-    payload = {f"state/{name}": value for name, value in state.items()}
-    for key, value in (extra or {}).items():
-        payload[f"extra/{key}"] = np.asarray(value)
-    _atomic_savez(path, payload)
-
-
-def load_checkpoint(path: str, module) -> Dict:
-    """Load a checkpoint into ``module``; returns the extra metadata.
-
-    Raises :class:`ChecksumError` on a torn or corrupt file.
-    """
-    data = load_verified_npz(path)
-    state = {
-        key[len("state/"):]: value
-        for key, value in data.items()
-        if key.startswith("state/")
-    }
-    extra = {
-        key[len("extra/"):]: value
-        for key, value in data.items()
-        if key.startswith("extra/")
-    }
-    module.load_state_dict(state)
-    return extra
+from repro.checkpoint.format import load_verified_npz, npz_bytes, write_verified
 
 
 def training_payload(
@@ -111,13 +68,16 @@ def save_training_checkpoint(
     iteration: int = 0,
     extra: Dict | None = None,
 ) -> None:
-    """Atomically write model + optimizer state + iteration counter.
+    """Atomically write model (+ optimizer) state and iteration counter.
 
     The optimizer's per-parameter state (momentum buffers, Adam
     moments) is flattened as ``opt/{index}/{key}`` arrays; restoring it
     is what keeps a resumed run on the same optimization trajectory.
+    With a :class:`~repro.sharded.optimizer.ShardedOptimizer` the
+    ``state_dict()`` calls are collective, so every rank must call this.
     """
-    _atomic_savez(path, training_payload(module, optimizer, iteration, extra))
+    payload = training_payload(module, optimizer, iteration, extra)
+    write_verified(path, npz_bytes(payload))
 
 
 def parse_training_payload(
@@ -148,10 +108,18 @@ def parse_training_payload(
 def install_training_payload(
     data: Dict[str, np.ndarray], module, optimizer=None
 ) -> Dict:
-    """Install a parsed checkpoint mapping into ``module``/``optimizer``;
-    returns ``{"iteration": int, "extra": dict}``.  Shared by
-    :func:`load_training_checkpoint` and the checkpoint engine's
-    replica-restore path (which gets its bytes off the wire)."""
+    """Install a training payload into ``module``/``optimizer``; returns
+    ``{"iteration": int, "extra": dict}``.
+
+    The one restore routine behind :func:`load_training_checkpoint` and
+    :meth:`~repro.checkpoint.engine.CheckpointEngine.load_latest`.  It
+    is local (no collectives) for every target: ``module`` is a plain
+    or DDP module or a ``repro.sharded`` wrapper (whose
+    ``load_state_dict`` re-slices the full arrays into its own spans),
+    and ``optimizer`` any optimizer with the positional
+    ``load_state_dict`` — :class:`~repro.sharded.optimizer
+    .ShardedOptimizer` reshards it onto its layout and world.
+    """
     state, opt_state, iteration, opt_num_params, extra = parse_training_payload(data)
     module.load_state_dict(state)
     if optimizer is not None:
@@ -167,7 +135,8 @@ def load_training_checkpoint(path: str, module, optimizer=None) -> Dict:
 
     Loads model state into ``module`` and (when given) optimizer state
     into ``optimizer``; returns ``{"iteration": int, "extra": dict}``.
-    A partially written or corrupted file raises :class:`ChecksumError`
-    before any state is touched.
+    A partially written or corrupted file raises
+    :class:`~repro.checkpoint.format.ChecksumError` before any state is
+    touched.
     """
     return install_training_payload(load_verified_npz(path), module, optimizer)

@@ -35,22 +35,30 @@ whose heartbeat merely *flapped* (stale long enough to trip the
 monitor, fresh again by the boundary) is kept in the membership and
 reported under ``flapped`` rather than treated as dead.
 
+A death stops the generation at once: the supervisor closes the hub
+under the survivors, which may be blocked on the dead peer.  A grow
+kills no one, so nothing is torn down under a working rank: the
+supervisor picks the next iteration boundary every rank can still reach
+(after at least one iteration of progress in the generation), the ranks
+finish their in-flight step and checkpoint save and leave together, and
+the hub closes once they are gone — or after a bounded drain of
+``timeout`` seconds, should one hang.
+
 State travels between generations exclusively through checkpoints —
 surviving ranks never try to salvage in-memory state from a torn
 iteration, which is exactly how real elastic runtimes avoid mixing
-half-averaged gradients into the restored trajectory.  The default
-carrier is the rolling verified file written by
-:func:`repro.utils.checkpoint.save_training_checkpoint` (or the sharded
-protocol for ZeRO wrappers); setting ``replication_factor > 1`` or
-``checkpoint_async=True`` upgrades it to the
-:class:`~repro.checkpoint.engine.CheckpointEngine` — manifest-committed
-generations, per-file CRC, background writes, and buddy replication, so
-losing any single rank's local shard files is survivable.
+half-averaged gradients into the restored trajectory.  The carrier is
+always a :class:`~repro.checkpoint.engine.CheckpointEngine` under
+``checkpoint_dir``: manifest-committed generations with per-file CRC,
+optional background writes, and buddy replication (so with
+``replication_factor > 1`` losing any single rank's local files is
+survivable).  DDP runs commit the replicated payload from rank 0;
+``repro.sharded`` wrappers commit one shard per rank; either restores
+into the next generation's world size.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -62,10 +70,7 @@ from repro.comm.store import Store
 from repro.resilience.faults import FaultPlan, InjectedRankFailure
 from repro.resilience.heartbeat import Heartbeat, HeartbeatMonitor
 from repro.resilience.transport import ReliableTransportHub, RetryPolicy
-from repro.utils.checkpoint import (
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
+from repro.sharded import FullyShardedDataParallel, ShardedDataParallel
 from repro.utils.logging import logger
 from repro.utils.rank import set_current_rank
 
@@ -97,31 +102,27 @@ class ElasticConfig:
     ``min_world_size`` bounds shrinking; dropping below it raises.
     ``max_restarts`` caps re-rendezvous attempts (generations beyond the
     first), so a deterministic repeated death cannot loop forever.
-    ``checkpoint_every`` is the save cadence in iterations (rank 0 of
-    the current generation saves).  ``heartbeat_interval`` /
-    ``miss_threshold`` tune dead-rank detection; the defaults detect a
-    death in ~0.25 s, far below the transport timeout.  ``retry`` is the
+    ``checkpoint_every`` is the save cadence in iterations (every rank
+    of the current generation commits through its checkpoint engine).
+    ``heartbeat_interval`` / ``miss_threshold`` tune dead-rank
+    detection; the defaults detect a death in ~0.25 s, far below the
+    transport timeout.  ``retry`` is the
     :class:`~repro.resilience.transport.RetryPolicy` for each
     generation's hub; ``group_kwargs`` / ``ddp_kwargs`` forward to the
     process-group backend and the DDP wrapper.
 
     ``wrapper`` overrides the model wrap: ``wrapper(module, group) ->
     model`` (called instead of the default DDP construction, so e.g.
-    ``repro.sharded`` stages can run elastically).  A wrapped model
-    exposing ``save_training_state``/``load_training_state`` switches
-    checkpointing to the sharded protocol: saves become collective
-    (every rank calls at the same deterministic cadence; rank 0 writes)
-    and restores run on every rank.
+    ``repro.sharded`` stages can run elastically).  A ZeRO-2/3 wrapper
+    checkpoints one shard per rank and restores with its own optimizer.
 
     ``allow_grow`` enables scale-up: matured
     :func:`~repro.resilience.faults.rejoin_rank` rules admit returning
     spots at generation boundaries, up to ``max_world_size`` (None
     leaves growth unbounded).  ``replication_factor`` /
     ``checkpoint_async`` / ``checkpoint_keep`` configure the
-    :class:`~repro.checkpoint.engine.CheckpointEngine`; the engine is
-    used instead of the rolling single-file checkpoint whenever
-    ``replication_factor > 1`` or ``checkpoint_async`` is set (its
-    files live under :attr:`engine_dir`).
+    :class:`~repro.checkpoint.engine.CheckpointEngine` whose per-rank
+    files live under ``checkpoint_dir/rank{r}/``.
     """
 
     policy: str = "shrink"
@@ -129,7 +130,6 @@ class ElasticConfig:
     max_restarts: int = 5
     checkpoint_every: int = 1
     checkpoint_dir: str = "."
-    checkpoint_name: str = "elastic_latest.npz"
     heartbeat_interval: float = 0.05
     miss_threshold: float = 0.3
     grace: float = 2.0
@@ -167,26 +167,6 @@ class ElasticConfig:
         if self.checkpoint_keep < 1:
             raise ValueError("checkpoint_keep must be >= 1")
 
-    @property
-    def checkpoint_path(self) -> str:
-        """Full path of the rolling training checkpoint."""
-        return os.path.join(self.checkpoint_dir, self.checkpoint_name)
-
-    @property
-    def engine_dir(self) -> str:
-        """Root directory of the checkpoint engine (when it is used)."""
-        return os.path.join(self.checkpoint_dir, "engine")
-
-    @property
-    def uses_engine(self) -> bool:
-        """Whether generations checkpoint through the engine."""
-        return self.replication_factor > 1 or self.checkpoint_async
-
-    @property
-    def state_path(self) -> str:
-        """Where training state actually lives between generations."""
-        return self.engine_dir if self.uses_engine else self.checkpoint_path
-
 
 @dataclass
 class ElasticContext:
@@ -218,7 +198,7 @@ class ElasticResult:
     final_world_size: int
     generations: List[dict]
     losses: List[float]
-    checkpoint_path: str
+    checkpoint_dir: str
 
     @property
     def final_loss(self) -> Optional[float]:
@@ -321,7 +301,7 @@ def run_elastic(
                 final_world_size=len(spots),
                 generations=generations,
                 losses=losses,
-                checkpoint_path=config.state_path,
+                checkpoint_dir=config.checkpoint_dir,
             )
 
         died = report["died"]
@@ -414,6 +394,10 @@ def _run_generation(
     errors: Dict[int, BaseException] = {}
     engine_stats: Dict[int, dict] = {}
     lock = threading.Lock()
+    # The iteration each rank last entered, guarded by ``lock``: the
+    # supervisor sets a grow's stop boundary under the same lock that
+    # ranks read the abort under, so every rank stops at the same one.
+    entered = [-1] * world
 
     def runner(rank: int) -> None:
         ctx = ElasticContext(
@@ -460,79 +444,57 @@ def _run_generation(
                 model = DistributedDataParallel(
                     module, process_group=group, **config.ddp_kwargs
                 )
-            # Sharded wrappers (repro.sharded) checkpoint collectively:
-            # every rank participates in the consolidation gathers, at a
-            # cadence derived only from the iteration counter so all
-            # ranks agree without communication.
-            sharded = hasattr(model, "save_training_state")
-            if config.uses_engine:
-                engine = CheckpointEngine(
-                    config.engine_dir,
-                    rank=rank,
-                    world=world,
-                    hub=hub,
-                    replication_factor=min(config.replication_factor, world),
-                    keep=config.checkpoint_keep,
-                    async_write=config.checkpoint_async,
-                    fault_plan=fault_plan,
-                )
+            engine = CheckpointEngine(
+                config.checkpoint_dir,
+                rank=rank,
+                world=world,
+                hub=hub,
+                replication_factor=config.replication_factor,
+                keep=config.checkpoint_keep,
+                async_write=config.checkpoint_async,
+                fault_plan=fault_plan,
+            )
+            # Saves are collective in cadence, not in communication:
+            # every rank calls at iteration counts all ranks agree on.
+            # ZeRO-2/3 wrappers own their optimizer and commit one shard
+            # per rank; DDP commits rank 0's replicated payload.
+            sharded = isinstance(
+                model, (ShardedDataParallel, FullyShardedDataParallel)
+            )
+            if sharded:
+                target, target_optimizer = model, model.optimizer
+            else:
+                target, target_optimizer = module, optimizer
 
             def save_state(iteration: int) -> None:
-                # Engine saves are collective in the same sense as the
-                # sharded protocol: every rank calls at the same cadence
-                # (full mode writes rank 0's payload, empty manifests
-                # elsewhere; sharded mode writes one shard per rank).
-                if engine is not None:
-                    if sharded:
-                        engine.save_sharded(model, iteration=iteration)
-                    else:
-                        engine.save_full(
-                            module, optimizer, iteration=iteration
-                        )
-                elif sharded:
-                    model.save_training_state(
-                        config.checkpoint_path, iteration=iteration
-                    )
-                elif rank == 0:
-                    save_training_checkpoint(
-                        config.checkpoint_path, module, optimizer,
-                        iteration=iteration,
-                    )
-
-            start = 0
-            if engine is not None:
-                info = engine.load_latest(
-                    module=module,
-                    optimizer=optimizer,
-                    model=model if sharded else None,
-                )
-                if info is not None:
-                    start = info["iteration"]
-            elif os.path.exists(config.checkpoint_path):
                 if sharded:
-                    info = model.load_training_state(config.checkpoint_path)
+                    engine.save_sharded(model, iteration=iteration)
                 else:
-                    info = load_training_checkpoint(
-                        config.checkpoint_path, module, optimizer
-                    )
-                start = info["iteration"]
+                    engine.save_full(module, optimizer, iteration=iteration)
+
+            info = engine.load_latest(target, target_optimizer)
+            start = info["iteration"] if info is not None else 0
             if rank == 0:
                 end_iteration[0] = start
             for iteration in range(start, total_iterations):
-                if store.try_get(abort_key) is not None:
-                    raise _GenerationAborted()
+                with lock:
+                    entered[rank] = iteration
+                    abort = store.try_get(abort_key)
+                if abort is not None:
+                    # A death stops at once; a grow at its agreed
+                    # boundary, after at least one iteration of progress.
+                    stop_at = abort.get("stop_at")
+                    if stop_at is None or iteration >= max(stop_at, start + 1):
+                        raise _GenerationAborted()
                 loss = step(ctx, model, optimizer, iteration)
                 if rank == 0:
                     rank0_losses.append(float(loss))
                     end_iteration[0] = iteration + 1
                 if (iteration + 1) % config.checkpoint_every == 0:
                     save_state(iteration + 1)
-            if total_iterations % config.checkpoint_every and (
-                sharded or engine is not None or rank == 0
-            ):
+            if total_iterations % config.checkpoint_every:
                 save_state(total_iterations)
-            if engine is not None:
-                engine.wait(timeout=config.timeout)
+            engine.wait(timeout=config.timeout)
             store.set(f"{ns}/done/rank{rank}", True)
         except _GenerationAborted:
             store.set(f"{ns}/done/rank{rank}", "aborted")
@@ -553,9 +515,9 @@ def _run_generation(
             heartbeat.stop()
         finally:
             if engine is not None:
+                engine.close(timeout=config.timeout)
                 with lock:
                     engine_stats[rank] = engine.stats()
-                engine.close(timeout=config.timeout)
             heartbeat.stop()
             destroy_process_group()
 
@@ -573,18 +535,20 @@ def _run_generation(
     for thread in threads:
         thread.start()
 
-    aborted = False
+    aborted = closed = False
     abort_dead: List[int] = []
     grow_ready: List[int] = []
+    drain_deadline: Optional[float] = None
     deadline = time.monotonic() + config.timeout * (4 + total_iterations * 0.5)
     while any(t.is_alive() for t in threads):
         time.sleep(0.02)
         dead_now = _detect_deaths(store, ns, world, monitor)
-        if dead_now and not aborted:
+        if dead_now and not closed:
+            # Also cuts short a pending grow's drain.
             abort_dead = dead_now
             store.set(abort_key, {"generation": generation, "died": dead_now})
             hub.close()
-            aborted = True
+            aborted = closed = True
         if (
             not aborted
             and config.allow_grow
@@ -594,20 +558,32 @@ def _run_generation(
                 or world < config.max_world_size
             )
         ):
-            # A matured rejoin aborts the running generation exactly
-            # like a death would — the grow itself happens at the
-            # boundary, where run_elastic consumes the request.  At
-            # zero max_world_size capacity the request stays pending
-            # (a later shrink may free a slot) and the generation is
-            # left alone.
+            # A matured rejoin ends the running generation — the grow
+            # itself happens at the boundary, where run_elastic consumes
+            # the request.  No rank is dead, so the hub stays open while
+            # ranks finish their step and save and leave together at
+            # the next boundary all of them can reach.  At zero
+            # max_world_size capacity the request stays pending (a
+            # later shrink may free a slot) and the generation is left
+            # alone.
             matured = fault_plan.peek_rejoins(generation, exclude=spots)
             if matured:
                 grow_ready = matured
-                store.set(
-                    abort_key, {"generation": generation, "grow": matured}
-                )
-                hub.close()
+                with lock:
+                    store.set(abort_key, {
+                        "generation": generation,
+                        "grow": matured,
+                        "stop_at": max(entered) + 1,
+                    })
+                drain_deadline = time.monotonic() + config.timeout
                 aborted = True
+        if (
+            drain_deadline is not None
+            and not closed
+            and time.monotonic() > drain_deadline
+        ):
+            hub.close()
+            closed = True
         if time.monotonic() > deadline:
             store.set(abort_key, {"generation": generation, "died": []})
             hub.close()

@@ -21,10 +21,8 @@ updates bit-equal to replicated ones.
 """
 
 from repro.sharded.checkpoint import (
-    load_shard_payloads,
-    load_sharded_training_checkpoint,
+    payload_from_shards,
     reshard_state_dict,
-    save_sharded_training_checkpoint,
     shard_payload,
 )
 from repro.sharded.data_parallel import ShardedDataParallel
@@ -45,13 +43,11 @@ __all__ = [
     "ShardedDataParallel",
     "ShardedOptimizer",
     "ShardedStats",
-    "load_shard_payloads",
-    "load_sharded_training_checkpoint",
     "measure_ddp_bytes",
     "module_arrays",
     "optimizer_state_arrays",
+    "payload_from_shards",
     "reshard_state_dict",
-    "save_sharded_training_checkpoint",
     "shard_payload",
     "storage_bytes",
     "unit_bucket_specs",

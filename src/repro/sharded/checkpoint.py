@@ -1,119 +1,61 @@
-"""Sharded checkpointing: full-model snapshots and cross-world resharding.
+"""Sharded checkpoints: per-rank shard containers for the one payload.
 
-Two families live here:
+A ``repro.sharded`` wrapper checkpoints through
+:meth:`~repro.checkpoint.engine.CheckpointEngine.save_sharded`: each
+rank persists only its own spans (:func:`shard_payload`), with no
+collectives at save time.  That sharded commit is a second *container*
+for the training payload of :mod:`repro.checkpoint.payload`, not a
+second format — :func:`payload_from_shards` decodes it back into the
+same positional ``state/ opt/ meta/ extra/`` mapping a full commit
+holds, using the bucket entries every manifest carries.  One install
+routine then restores either container into any target.
 
-**Consolidated checkpoints** (PR-4 era, still the elastic wrappers'
-`save_training_state` path): the on-disk format is exactly
-:func:`repro.utils.checkpoint.save_training_checkpoint`'s
-(``state/{name}``, ``opt/{index}/{key}``, ``meta/iteration``,
-``extra/{key}`` in one atomically written, CRC-trailed npz), so a
-checkpoint written mid-ZeRO-training restores into plain local training,
-DDP, or any sharding stage — including a *different world size*.
-:func:`reshard_state_dict` is the primitive that makes the cross-world
-claim precise: it maps a consolidated (positionally keyed, full-array)
-optimizer state dict onto any target :class:`~repro.sharded.flat
-.FlatShardLayout` and rank, returning exactly the per-bucket span state
-that rank's inner optimizer should hold.  Buckets are world-independent
-(the bucket assignment depends only on parameters and cap), so shrink
-4→2 and grow 2→4 round-trip bit-exactly for every ZeRO stage.
-
-**Shard payloads** (the checkpoint-engine path): each rank persists only
-its own spans (:func:`shard_payload`), no collectives at save time;
-:func:`load_shard_payloads` reassembles full flats from any saved world
-size — old spans are reconstructed with ``partition_spans(total,
-saved_world)``, which is deterministic — and re-slices them into the
-current layout.  This is what lets
-:class:`~repro.checkpoint.engine.CheckpointEngine` restore a ZeRO run
-into a grown or shrunk world from per-rank files (or their replicas).
-
-Saving consolidated checkpoints is **collective** (state consolidation
-all-gathers parameter and optimizer spans) but only rank 0 touches the
-filesystem; loading is purely local.
+:func:`reshard_state_dict` is the primitive behind the sharded targets:
+it maps a positional (full-array) optimizer state dict onto any
+:class:`~repro.sharded.flat.FlatShardLayout` and rank, returning
+exactly the per-bucket span state that rank's inner optimizer should
+hold.  Because the decoded payload has no span structure left in it,
+shrink 4→2, grow 2→4, ZeRO→plain and ZeRO-2→ZeRO-3 are all the same
+operation: re-slice full arrays along the target's span table —
+bitwise, since every optimizer here is elementwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import weakref
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.checkpoint.format import ChecksumError, load_verified_npz
-from repro.utils.checkpoint import _atomic_savez, parse_training_payload
+from repro.checkpoint.format import ChecksumError
 
-
-def save_sharded_training_checkpoint(
-    path: str,
-    model,
-    iteration: int = 0,
-    extra: Optional[Dict] = None,
-) -> None:
-    """Consolidate a sharded wrapper's state and write it on rank 0.
-
-    ``model`` is a :class:`~repro.sharded.data_parallel.ShardedDataParallel`
-    or :class:`~repro.sharded.fsdp.FullyShardedDataParallel`.  Every
-    rank must call this (the consolidation gathers are collectives); the
-    resulting file is byte-compatible with
-    :func:`repro.utils.checkpoint.load_training_checkpoint`.
-    """
-    state = model.state_dict()
-    opt_state = model.optimizer.consolidated_state_dict()
-    if model.rank != 0:
-        return
-    payload = {f"state/{name}": value for name, value in state.items()}
-    for index, per_param in opt_state["state"].items():
-        for key, value in per_param.items():
-            payload[f"opt/{index}/{key}"] = np.asarray(value)
-    payload["meta/iteration"] = np.asarray(int(iteration))
-    payload["meta/opt_num_params"] = np.asarray(int(opt_state["num_params"]))
-    for key, value in (extra or {}).items():
-        payload[f"extra/{key}"] = np.asarray(value)
-    _atomic_savez(path, payload)
-
-
-def load_sharded_training_checkpoint(path: str, model) -> Dict:
-    """Restore a full-model checkpoint into a sharded wrapper.
-
-    Local (no collectives): each rank reads the file, installs the model
-    state through the wrapper (which re-shards it), and slices its spans
-    of the positional optimizer state.  Accepts checkpoints written by
-    either :func:`save_sharded_training_checkpoint` or plain
-    :func:`repro.utils.checkpoint.save_training_checkpoint` — at any
-    world size.  A torn or corrupt file raises
-    :class:`~repro.checkpoint.format.ChecksumError`.
-    Returns ``{"iteration": int, "extra": dict}``.
-    """
-    data = load_verified_npz(path)
-    state, opt_state, iteration, num_params, extra = parse_training_payload(data)
-    model.load_state_dict(state)
-    consolidated: Dict = {"state": opt_state}
-    if num_params is not None:
-        consolidated["num_params"] = num_params
-    model.optimizer.load_consolidated_state_dict(consolidated)
-    return {"iteration": iteration, "extra": extra}
+#: Manifest meta per shard layout; constant for a layout's lifetime.
+_LAYOUT_META: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 # -- cross-world resharding ------------------------------------------------
 def reshard_state_dict(state_dict: Dict, layout, rank: int) -> List[Dict]:
-    """Reshard a consolidated optimizer state dict onto a target layout.
+    """Reshard a positional optimizer state dict onto a target layout.
 
-    ``state_dict`` is what
-    :meth:`~repro.sharded.optimizer.ShardedOptimizer.consolidated_state_dict`
-    returns (``{"state": {param_index: {key: full array | scalar}},
-    "num_params": N}``), written at *any* world size; ``layout`` is the
+    ``state_dict`` has :meth:`~repro.optim.optimizer.Optimizer
+    .state_dict`'s shape (``{"state": {param_index: {key: full array |
+    scalar}}, "num_params": N}``) — what a plain optimizer or
+    :meth:`~repro.sharded.optimizer.ShardedOptimizer.state_dict`
+    returns, at *any* world size; ``layout`` is the
     target :class:`~repro.sharded.flat.FlatShardLayout` and ``rank`` the
     target rank.  Returns one dict per bucket mapping each state key to
     the rank's span of the bucket's flat order (scalars pass through) —
     exactly what the inner optimizer should hold for that bucket's shard
     tensor.  Buckets whose parameters carry no state get ``{}``.
 
-    Purely local and world-agnostic: the consolidated dict has no span
+    Purely local and world-agnostic: the positional dict has no span
     structure left in it, so shrink 4→2 and grow 2→4 both reduce to
     "re-slice the full arrays along the new span table".
     """
     num_params = state_dict.get("num_params")
     if num_params is not None and int(num_params) != len(layout.params):
         raise ValueError(
-            f"consolidated optimizer state covers {int(num_params)} "
+            f"positional optimizer state covers {int(num_params)} "
             f"parameters but the target layout has {len(layout.params)}"
         )
     state = state_dict.get("state", {})
@@ -166,7 +108,42 @@ def reshard_state_dict(state_dict: Dict, layout, rank: int) -> List[Dict]:
     return resharded
 
 
-# -- per-rank shard payloads (checkpoint-engine path) ----------------------
+# -- per-rank shard containers (checkpoint-engine path) --------------------
+def _layout_meta(model) -> Dict:
+    """The manifest meta of ``model``'s shard layout, computed once per
+    layout: stage, parameter count, bucket totals, this rank's spans,
+    and each bucket's parameter entries ``[index, state name, flat
+    offset, shape]`` — what :func:`payload_from_shards` needs to cut
+    reassembled flats back into named, positional arrays."""
+    optimizer = model.optimizer
+    layout = optimizer.layout
+    meta = _LAYOUT_META.get(layout)
+    if meta is None:
+        names = [name for name, _ in model.module.named_parameters()]
+        meta = {
+            "stage": model.stats.stage,
+            "num_params": len(optimizer.params),
+            "bucket_totals": [int(b.total_elements) for b in layout.buckets],
+            "span": [
+                [int(lo), int(hi)]
+                for lo, hi in (
+                    layout.span(b, optimizer.rank)
+                    for b in range(layout.num_buckets)
+                )
+            ],
+            "entries": [
+                [
+                    [int(index), names[index], int(offset),
+                     [int(d) for d in layout.params[index].data.shape]]
+                    for index, offset, _ in layout.bucket_entries(b)
+                ]
+                for b in range(layout.num_buckets)
+            ],
+        }
+        _LAYOUT_META[layout] = meta
+    return meta
+
+
 def shard_payload(model, include_buffers: bool = False) -> Tuple[Dict, Dict]:
     """One rank's checkpoint shard of a sharded wrapper, no collectives.
 
@@ -174,148 +151,90 @@ def shard_payload(model, include_buffers: bool = False) -> Tuple[Dict, Dict]:
     per bucket (``param/b{b}`` — the shard tensors, which are the
     authoritative span storage in every ZeRO stage) and its optimizer
     state spans (``opt/b{b}/{key}``, scalars as 0-d arrays); with
-    ``include_buffers`` (rank 0) the module's full buffers ride along as
-    ``buffer/{name}``.  ``meta`` records what a restore at a different
-    world size must validate: bucket totals, parameter count, stage, and
-    this rank's spans.
+    ``include_buffers`` (rank 0) the module's buffers ride along under
+    their payload keys ``state/{name}``.  ``meta`` is the layout's
+    cached manifest meta (:func:`_layout_meta`).
     """
     optimizer = model.optimizer
-    layout = optimizer.layout
     arrays: Dict[str, np.ndarray] = {}
     for bucket, shard in enumerate(optimizer.shards):
         arrays[f"param/b{bucket}"] = np.array(shard.data, copy=True)
         state = optimizer.inner.state.get(id(shard)) or {}
         for key in sorted(state):
-            value = state[key]
-            arrays[f"opt/b{bucket}/{key}"] = np.array(value, copy=True)
+            arrays[f"opt/b{bucket}/{key}"] = np.array(state[key], copy=True)
     if include_buffers:
         for name, buf in model.module.named_buffers():
-            arrays[f"buffer/{name}"] = np.array(buf.data, copy=True)
-    meta = {
-        "stage": getattr(getattr(model, "stats", None), "stage", "sharded"),
-        "num_params": len(optimizer.params),
-        "bucket_totals": [int(b.total_elements) for b in layout.buckets],
-        "span": [
-            [int(lo), int(hi)]
-            for lo, hi in (
-                layout.span(b, optimizer.rank) for b in range(layout.num_buckets)
-            )
-        ],
+            arrays[f"state/{name}"] = np.array(buf.data, copy=True)
+    return arrays, _layout_meta(model)
+
+
+def _assemble(shards, key: str, bucket: int, total: int):
+    """Reassemble one bucket-flat array from every saved rank's span of
+    ``key``; a 0-d value (scalar optimizer state, identical on every
+    rank) is returned as is, and ``None`` if no rank holds ``key``."""
+    pieces = {
+        rank: np.asarray(arrays[key])
+        for rank, (arrays, _) in shards.items()
+        if key in arrays
     }
-    return arrays, meta
+    if not pieces:
+        return None
+    sample = next(iter(pieces.values()))
+    if sample.ndim == 0:
+        return sample
+    flat = np.zeros(total, dtype=sample.dtype)
+    for rank, piece in pieces.items():
+        lo, hi = shards[rank][1].meta["span"][bucket]
+        if piece.size != hi - lo:
+            raise ChecksumError(
+                f"saved rank {rank} '{key}' holds {piece.size} elements, "
+                f"expected {hi - lo}"
+            )
+        flat[lo:hi] = piece.reshape(-1)
+    return flat
 
 
-def load_shard_payloads(model, shards: Dict[int, Tuple[Dict, object]]) -> Dict:
-    """Reassemble per-rank shard payloads into a (possibly re-worlded)
-    sharded wrapper.
+def payload_from_shards(shards: Dict[int, Tuple[Dict, object]]) -> Dict[str, np.ndarray]:
+    """Decode a sharded commit into the positional training payload.
 
-    ``shards`` maps every *saved* rank to its ``(arrays, manifest)``
-    pair (:func:`shard_payload` output; the manifest supplies the saved
-    world size and meta).  The saved span table is reconstructed with
-    ``partition_spans(total, saved_world)`` — deterministic, so nothing
-    but the shards themselves needs to survive — full flats are
-    assembled per bucket, and this rank's *new* spans are sliced into
-    the shard tensors, the live parameters (except ZeRO-3, whose freed
-    stubs regather lazily from the shards), and the inner optimizer's
-    state.  Purely local.  Returns ``{"iteration", "extra"}``.
+    ``shards`` maps every saved rank to its ``(arrays, manifest)`` pair
+    (:func:`shard_payload` output plus the manifest carrying its meta).
+    Each bucket's flats are reassembled from the ranks' recorded spans
+    and cut back along the manifest's entries: parameters become
+    ``state/{name}``, optimizer state ``opt/{index}/{key}`` (scalar
+    state repeated per parameter, as a replicated optimizer keys it).
+    Rank 0's file supplies buffers and ``extra/`` keys, its manifest
+    the iteration.
+    Purely local; the result is what a full commit of the same training
+    state would hold.
     """
-    from repro.comm.algorithms import partition_spans
-
-    optimizer = model.optimizer
-    layout = optimizer.layout
-    if 0 not in shards:
-        raise ValueError("shard payloads must include saved rank 0")
-    rank0_arrays, rank0_manifest = shards[0]
-    saved_world = int(rank0_manifest.world_size)
-    meta = rank0_manifest.meta
-    missing = [r for r in range(saved_world) if r not in shards]
-    if missing:
-        raise ValueError(
-            f"shard payloads cover saved world {saved_world} but ranks "
-            f"{missing} are absent"
-        )
-    bucket_totals = [int(x) for x in meta.get("bucket_totals", [])]
-    ours = [int(b.total_elements) for b in layout.buckets]
-    if bucket_totals and bucket_totals != ours:
-        raise ValueError(
-            f"saved bucket layout {bucket_totals} does not match the target "
-            f"layout {ours}; bucket caps or the model differ"
-        )
-    num_params = meta.get("num_params")
-    if num_params is not None and int(num_params) != len(optimizer.params):
-        raise ValueError(
-            f"saved shards cover {int(num_params)} parameters but the "
-            f"target model has {len(optimizer.params)}"
-        )
-
-    sharded_params = hasattr(model, "summon_full_params")
-    for bucket, shard in enumerate(optimizer.shards):
-        total = int(layout.buckets[bucket].total_elements)
-        old_spans = partition_spans(total, saved_world)
-        flat = np.zeros(total, dtype=layout.bucket_dtype(bucket))
-        keys = set()
-        prefix = f"opt/b{bucket}/"
-        for old_rank in range(saved_world):
-            arrays, _ = shards[old_rank]
-            lo, hi = old_spans[old_rank]
-            piece = arrays.get(f"param/b{bucket}")
-            if piece is None or piece.size != hi - lo:
-                raise ChecksumError(
-                    f"saved rank {old_rank} shard of bucket {bucket} holds "
-                    f"{0 if piece is None else piece.size} elements, "
-                    f"expected {hi - lo}"
-                )
-            flat[lo:hi] = np.asarray(piece).reshape(-1)
-            keys.update(
-                key[len(prefix):] for key in arrays if key.startswith(prefix)
-            )
-        new_lo, new_hi = layout.span(bucket, optimizer.rank)
-        shard.data[...] = flat[new_lo:new_hi]
-        if not sharded_params:
-            layout.scatter_into_params(bucket, flat)
-        shard_state: Dict = {}
-        for key in sorted(keys):
-            scalar = None
-            pieces: Dict[int, np.ndarray] = {}
-            for old_rank in range(saved_world):
-                arrays, _ = shards[old_rank]
-                value = arrays.get(f"{prefix}{key}")
-                if value is None:
-                    continue
-                value = np.asarray(value)
-                if value.ndim == 0:
-                    scalar = value.item()
-                else:
-                    pieces[old_rank] = value
-            if not pieces:
-                if scalar is not None:
-                    shard_state[key] = scalar
-                continue
-            key_flat = np.zeros(total, dtype=next(iter(pieces.values())).dtype)
-            for old_rank, value in pieces.items():
-                lo, hi = old_spans[old_rank]
-                if value.size != hi - lo:
-                    raise ChecksumError(
-                        f"saved rank {old_rank} state '{key}' of bucket "
-                        f"{bucket} holds {value.size} elements, expected "
-                        f"{hi - lo}"
-                    )
-                key_flat[lo:hi] = value.reshape(-1)
-            shard_state[key] = key_flat[new_lo:new_hi].copy()
-        if shard_state:
-            optimizer.inner.state[id(shard)] = shard_state
-        else:
-            optimizer.inner.state.pop(id(shard), None)
-
-    own_buffers = dict(model.module.named_buffers())
-    for key, value in rank0_arrays.items():
-        if key.startswith("buffer/"):
-            name = key[len("buffer/"):]
-            if name in own_buffers:
-                np.copyto(own_buffers[name].data, value)
-    extra = {
-        key[len("extra/"):]: value
-        for key, value in rank0_arrays.items()
-        if key.startswith("extra/")
+    arrays0, manifest0 = shards[0]
+    meta = manifest0.meta
+    payload = {
+        key: value
+        for key, value in arrays0.items()
+        if key.startswith(("state/", "extra/"))
     }
-    return {"iteration": int(rank0_manifest.iteration), "extra": extra}
+    payload["meta/iteration"] = np.asarray(int(manifest0.iteration))
+    payload["meta/opt_num_params"] = np.asarray(int(meta["num_params"]))
+    for bucket, (total, entries) in enumerate(
+        zip(meta["bucket_totals"], meta["entries"])
+    ):
+        prefix = f"opt/b{bucket}/"
+        opt_keys = sorted({
+            key[len(prefix):]
+            for arrays, _ in shards.values()
+            for key in arrays
+            if key.startswith(prefix)
+        })
+        params = _assemble(shards, f"param/b{bucket}", bucket, total)
+        state = {key: _assemble(shards, prefix + key, bucket, total) for key in opt_keys}
+        for index, name, offset, shape in entries:
+            size = int(np.prod(shape, dtype=np.int64))
+            payload[f"state/{name}"] = params[offset : offset + size].reshape(shape)
+            for key, value in state.items():
+                payload[f"opt/{index}/{key}"] = (
+                    value if value.ndim == 0
+                    else value[offset : offset + size].reshape(shape)
+                )
+    return payload

@@ -217,20 +217,6 @@ class ShardedDataParallel(Module):
         self.optimizer.zero_grad()
         self._reset_iteration()
 
-    # -- elastic checkpoint protocol -------------------------------------
-    def save_training_state(self, path: str, iteration: int = 0, extra=None) -> None:
-        """Collective checkpoint save (rank 0 writes); the protocol
-        :func:`repro.resilience.elastic.run_elastic` drives."""
-        from repro.sharded.checkpoint import save_sharded_training_checkpoint
-
-        save_sharded_training_checkpoint(path, self, iteration=iteration, extra=extra)
-
-    def load_training_state(self, path: str) -> dict:
-        """Local checkpoint restore; returns ``{"iteration", "extra"}``."""
-        from repro.sharded.checkpoint import load_sharded_training_checkpoint
-
-        return load_sharded_training_checkpoint(path, self)
-
     # -- observability ---------------------------------------------------
     def live_bytes(self) -> int:
         """Measured bytes this rank currently holds for training state:

@@ -254,9 +254,28 @@ class FullyShardedDataParallel(Module):
             return self.module.state_dict()
 
     def load_state_dict(self, state) -> None:
-        """Load a full state dict into the sharded storage."""
-        with self.summon_full_params(writeback=True):
-            self.module.load_state_dict(state)
+        """Load a full state dict into the sharded storage.
+
+        Local, no gathers: every rank holds the same full arrays, so
+        each re-slices its own span of every unit into the shard
+        tensors and loads the buffers; parameters stay freed and the
+        next forward regathers them from the new shards.
+        """
+        buffers = dict(self.module.named_buffers())
+        missing = (set(self._param_names) | set(buffers)) - set(state)
+        unexpected = set(state) - set(self._param_names) - set(buffers)
+        if missing or unexpected:
+            raise KeyError(
+                f"state_dict mismatch: missing={sorted(missing)}, "
+                f"unexpected={sorted(unexpected)}"
+            )
+        for unit in range(self.num_units):
+            self._free_unit(unit, count=False)
+        self.optimizer.refresh_shards_from_params(
+            [state[name] for name in self._param_names]
+        )
+        for name, buf in buffers.items():
+            np.copyto(buf.data, np.asarray(state[name]).reshape(buf.data.shape))
 
     @contextlib.contextmanager
     def summon_full_params(self, writeback: bool = False):
@@ -267,7 +286,7 @@ class FullyShardedDataParallel(Module):
         the full arrays are freed again.  Collective: every rank must
         enter (the gathers synchronize), and with writeback each rank
         keeps only its own span — cross-rank consistency of the mutation
-        is the caller's responsibility (checkpoint loads satisfy it).
+        is the caller's responsibility.
         """
         for unit in range(self.num_units):
             self._materialize(unit)
@@ -316,20 +335,6 @@ class FullyShardedDataParallel(Module):
         """Clear shard gradients and reset the readiness state."""
         self.optimizer.zero_grad()
         self._reset_iteration()
-
-    # -- elastic checkpoint protocol -------------------------------------
-    def save_training_state(self, path: str, iteration: int = 0, extra=None) -> None:
-        """Collective checkpoint save (rank 0 writes); the protocol
-        :func:`repro.resilience.elastic.run_elastic` drives."""
-        from repro.sharded.checkpoint import save_sharded_training_checkpoint
-
-        save_sharded_training_checkpoint(path, self, iteration=iteration, extra=extra)
-
-    def load_training_state(self, path: str) -> dict:
-        """Local checkpoint restore; returns ``{"iteration", "extra"}``."""
-        from repro.sharded.checkpoint import load_sharded_training_checkpoint
-
-        return load_sharded_training_checkpoint(path, self)
 
     # -- observability ---------------------------------------------------
     def live_bytes(self) -> int:

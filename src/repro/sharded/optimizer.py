@@ -12,7 +12,7 @@ update, so ZeRO-1/2/3 parity with DDP is exact, not approximate.
 Gradients arrive one of two ways:
 
 * :meth:`ShardedOptimizer.set_grads_from_params` — ZeRO-1: the caller
-  (DDP, or the baselines adapter) already holds full averaged
+  (e.g. DDP) already holds full averaged
   gradients; each rank copies just its spans onto the shard tensors.
 * :meth:`ShardedOptimizer.set_shard_grad` — ZeRO-2/3: the wrapper
   reduce-scattered gradients and hands each rank its span directly;
@@ -110,18 +110,22 @@ class ShardedOptimizer:
         self.inner = optimizer_factory(self.shards)
 
     # -- shard <-> parameter data movement ------------------------------
-    def refresh_shards_from_params(self) -> None:
+    def refresh_shards_from_params(self, values: Optional[Sequence] = None) -> None:
         """Recopy this rank's parameter spans into the shard tensors.
 
         Call after any out-of-band parameter mutation (constructor
         broadcast, checkpoint load) so the next step updates current
-        values.
+        values.  ``values`` — full arrays by parameter index — slices
+        from those instead of the live parameters (ZeRO-3 loads, whose
+        parameters are freed stubs).
         """
+        if values is None:
+            values = [param.data for param in self.params]
         for bucket, shard in enumerate(self.shards):
             for index, p_slice, s_slice in self.layout.shard_overlaps(
                 bucket, self.rank
             ):
-                shard.data[s_slice] = self.params[index].data.reshape(-1)[p_slice]
+                shard.data[s_slice] = np.asarray(values[index]).reshape(-1)[p_slice]
 
     def set_grads_from_params(self) -> None:
         """ZeRO-1 gradient path: slice full per-parameter gradients.
@@ -206,17 +210,17 @@ class ShardedOptimizer:
 
         return storage_bytes(optimizer_state_arrays(self.inner))
 
-    # -- consolidated (positional, full-model) state --------------------
-    def consolidated_state_dict(self) -> Dict:
-        """Assemble a full, positionally-keyed optimizer state dict.
+    # -- positional (full-model) state ----------------------------------
+    def state_dict(self) -> Dict:
+        """Assemble the full, positionally keyed optimizer state dict —
+        the shape :meth:`~repro.optim.optimizer.Optimizer.state_dict`
+        returns had training been replicated.
 
         **Collective**: every rank must call this; array state is
         all-gathered per bucket (in bucket order, keys sorted) and
-        re-sliced per parameter, so the result matches what the inner
-        optimizer's :meth:`~repro.optim.optimizer.Optimizer.state_dict`
-        would contain had training been replicated.  Scalar state (e.g.
-        Adam's ``step``) is identical on every rank and taken locally.
-        Every rank returns the full dict.
+        re-sliced per parameter.  Scalar state (e.g. Adam's ``step``) is
+        identical on every rank and taken locally.  Every rank returns
+        the full dict.
         """
         per_param: Dict[int, Dict] = {}
         for bucket, shard in enumerate(self.shards):
@@ -243,14 +247,17 @@ class ShardedOptimizer:
                         per_param.setdefault(index, {})[key] = value
         return {"state": per_param, "num_params": len(self.params)}
 
-    def load_consolidated_state_dict(self, state_dict: Dict) -> None:
-        """Install this rank's spans of a consolidated state dict.
+    def load_state_dict(self, state_dict: Dict) -> None:
+        """Install this rank's spans of a positional state dict.
 
-        Purely local (every rank holds the full dict after loading a
+        Purely local (every rank holds the full dict after reading a
         checkpoint): :func:`~repro.sharded.checkpoint.reshard_state_dict`
         reassembles array state into each bucket's flat order — against
-        *this* layout and world, whatever world wrote the dict — and the
-        rank's spans are copied onto the shard tensors' state.
+        *this* layout and world, whatever world or optimizer wrote the
+        dict — and the rank's spans become the inner optimizer's state.
+        Where the parameters are live replicas (``gather_after_step``:
+        ZeRO-1/2) the shard tensors are also re-sliced from them, so a
+        restore that loaded the parameters first leaves shards current.
         """
         from repro.sharded.checkpoint import reshard_state_dict
 
@@ -259,6 +266,8 @@ class ShardedOptimizer:
         for shard, shard_state in zip(self.shards, resharded):
             if shard_state:
                 self.inner.state[id(shard)] = shard_state
+        if self.gather_after_step:
+            self.refresh_shards_from_params()
 
     def __repr__(self) -> str:
         return (

@@ -2,12 +2,6 @@
 
 from repro.utils.seed import manual_seed, get_rng, fork_rng
 from repro.utils.units import MB, KB, format_bytes, format_seconds
-from repro.utils.checkpoint import (
-    save_checkpoint,
-    load_checkpoint,
-    save_training_checkpoint,
-    load_training_checkpoint,
-)
 from repro.utils.logging import enable_logging, logger
 from repro.utils.rank import get_current_rank, set_current_rank
 
@@ -19,8 +13,6 @@ __all__ = [
     "KB",
     "format_bytes",
     "format_seconds",
-    "save_checkpoint",
-    "load_checkpoint",
     "enable_logging",
     "logger",
     "get_current_rank",

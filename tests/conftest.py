@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.checkpoint import CheckpointEngine
 from repro.comm import run_distributed
 from repro.utils import manual_seed
 
@@ -49,6 +50,21 @@ def buffered_classifier(seed: int = 7) -> nn.Module:
     return nn.Sequential(
         nn.Linear(6, 16), nn.BatchNorm1d(16), nn.ReLU(), nn.Linear(16, 4)
     )
+
+
+def commit_sharded(root, rank, world, wrapper, iteration, extra=None):
+    """One synchronous sharded engine commit of ``wrapper``'s state."""
+    engine = CheckpointEngine(root, rank=rank, world=world, async_write=False)
+    engine.save_sharded(wrapper, iteration=iteration, extra=extra)
+    engine.close()
+
+
+def restore_latest(root, module, optimizer=None, rank=0, world=1):
+    """Restore the newest engine commit under ``root`` into the targets."""
+    engine = CheckpointEngine(root, rank=rank, world=world, async_write=False)
+    info = engine.load_latest(module, optimizer)
+    engine.close()
+    return info
 
 
 @pytest.fixture

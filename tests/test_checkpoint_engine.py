@@ -25,9 +25,11 @@ from repro.checkpoint import (
     generation_dirname,
     list_generations,
     load_generation_manifest,
+    load_training_checkpoint,
     load_verified_npz,
     npz_bytes,
     read_verified,
+    save_training_checkpoint,
     verify_generation,
     write_manifest,
     write_verified,
@@ -37,10 +39,6 @@ from repro.comm.distributed import get_context
 from repro.optim import SGD, Adam
 from repro.resilience import FaultPlan, corrupt_file, delay_write
 from repro.sharded import ShardedDataParallel
-from repro.utils.checkpoint import (
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
 
 from conftest import small_classifier
 
@@ -304,7 +302,7 @@ class TestEngineReplication:
             )
             engine = CheckpointEngine(root, rank=rank, world=2,
                                       async_write=False)
-            info = engine.load_latest(model=model)
+            info = engine.load_latest(model, model.optimizer)
             engine.close()
             assert info is not None and info["iteration"] == 3
             assert info["sources"][0] == "replica"
@@ -342,7 +340,7 @@ class TestEngineReplication:
             )
             engine = CheckpointEngine(root, rank=rank, world=2,
                                       async_write=False)
-            info = engine.load_latest(model=model)
+            info = engine.load_latest(model, model.optimizer)
             stats = engine.stats()
             engine.close()
             assert info is not None
@@ -386,7 +384,7 @@ class TestEngineReplication:
             )
             engine = CheckpointEngine(dead_root, rank=rank, world=3,
                                       async_write=False)
-            info = engine.load_latest(model=model)
+            info = engine.load_latest(model, model.optimizer)
             engine.close()
             assert info is not None and info["iteration"] == 3
             assert info["sources"][victim] == "replica"

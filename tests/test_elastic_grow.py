@@ -140,6 +140,39 @@ class TestGrow:
         assert all(s["saves"] > 0 for s in stats.values())
         assert all(s["replication_factor"] == 2 for s in stats.values())
 
+    def test_grow_drains_in_flight_replica_pushes(self, tmp_path):
+        """The demo's kill-then-rejoin schedule at rf=2: a grow ends a
+        generation at an iteration boundary, never by closing the hub
+        under a rank's save, so every generation commits at least one
+        save and every committed save reached its buddy."""
+        plan = FaultPlan([
+            crash_rank(2, scope="collective", op="allreduce",
+                       after=2 * BUCKETS + 1, times=1),  # dies iteration 2
+            rejoin_rank(2, generation=1),  # matures during generation 1
+        ])
+
+        def slow_step(ctx, model, opt, iteration):
+            loss = step(ctx, model, opt, iteration)
+            if ctx.generation == 1:
+                # Collectives are done; the save comes after the
+                # supervisor has seen the matured rejoin.
+                time.sleep(0.2)
+            return loss
+
+        res = run_elastic(
+            3, setup, slow_step, total_iterations=6,
+            config=config(tmp_path, allow_grow=True, max_world_size=3,
+                          replication_factor=2),
+            fault_plan=plan,
+        )
+        assert res.completed
+        assert [g["world_size"] for g in res.generations] == [3, 2, 3]
+        for gen in res.generations:
+            saved = {r: s for r, s in gen["checkpoint"].items() if s["saves"]}
+            assert saved, f"generation {gen['generation']} committed nothing"
+            for rank, stats in saved.items():
+                assert stats["replicas_sent"] > 0, (gen["generation"], rank)
+
     def test_grow_immediately_after_shrink(self, tmp_path):
         """A matured rejoin is admitted at the same boundary the death
         shrank the membership — net world size is unchanged."""

@@ -9,11 +9,12 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
+from repro.checkpoint import load_training_checkpoint, save_training_checkpoint
 from repro.comm import get_context
 from repro.core import DistributedDataParallel, comm_hooks
 from repro.core.layer_drop import BroadcastLayerDrop, SeededLayerDrop
 from repro.optim import SGD
-from repro.utils import load_checkpoint, manual_seed, save_checkpoint
+from repro.utils import manual_seed
 
 from conftest import run_world, small_classifier
 
@@ -268,11 +269,11 @@ class TestCheckpointing:
         model = small_classifier()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "ckpt.npz")
-            save_checkpoint(path, model, extra={"epoch": 3, "lr": 0.1})
+            save_training_checkpoint(path, model, extra={"epoch": 3, "lr": 0.1})
             other = small_classifier()
             for p in other.parameters():
                 p.data[...] = 0.0
-            extra = load_checkpoint(path, other)
+            extra = load_training_checkpoint(path, other)["extra"]
             assert extra["epoch"] == 3
             assert float(extra["lr"]) == 0.1
             for (na, a), (nb, b) in zip(
@@ -288,14 +289,14 @@ class TestCheckpointing:
             source = small_classifier()
             for p in source.parameters():
                 p.data += 5.0
-            save_checkpoint(path, source)
+            save_training_checkpoint(path, source)
             expected = source.state_dict()
 
             def body(rank):
                 manual_seed(100 + rank)
                 model = small_classifier()
                 if rank == 0:
-                    load_checkpoint(path, model)
+                    load_training_checkpoint(path, model)
                 ddp = DistributedDataParallel(model)
                 return ddp.state_dict()
 

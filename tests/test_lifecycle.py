@@ -9,7 +9,8 @@ from repro import nn
 from repro.autograd import Tensor
 from repro.core import DistributedDataParallel
 from repro.optim import SGD, StepLR
-from repro.utils import load_checkpoint, manual_seed, save_checkpoint
+from repro.checkpoint import load_training_checkpoint, save_training_checkpoint
+from repro.utils import manual_seed
 
 from conftest import run_world, small_classifier
 
@@ -52,7 +53,7 @@ class TestCheckpointResume:
                 sched = StepLR(opt, step_size=2, gamma=0.5)
                 train(rank, ddp, opt, sched, 3)
                 if rank == 0:
-                    save_checkpoint(path, ddp, extra={"completed": 3})
+                    save_training_checkpoint(path, ddp, extra={"completed": 3})
                 return True
 
             run_world(2, first_half, backend="gloo")
@@ -61,7 +62,7 @@ class TestCheckpointResume:
                 manual_seed(999 + rank)  # deliberately different weights
                 model = small_classifier()
                 if rank == 0:
-                    extra = load_checkpoint(path, model)
+                    extra = load_training_checkpoint(path, model)["extra"]
                     assert int(extra["completed"]) == 3
                 ddp = DistributedDataParallel(model)  # broadcast aligns rank 1
                 opt = SGD(ddp.parameters(), lr=0.1)

@@ -134,8 +134,8 @@ class TestZeroPartitionProperty:
         world=st.integers(1, 6),
     )
     def test_partition_covers_and_balances(self, sizes, world):
-        from repro.baselines.zero import ZeroRedundancyOptimizer
         from repro.nn.module import Parameter
+        from test_zero_and_memory import owner_map, zero1
 
         class _PG:
             def __init__(self, size, rank):
@@ -148,10 +148,8 @@ class TestZeroPartitionProperty:
         params = [Parameter(np.zeros(s)) for s in sizes]
         owner_maps = []
         for rank in range(world):
-            zro = ZeroRedundancyOptimizer(
-                params, lambda shard: None, _PG(world, rank)
-            )
-            owner_maps.append(zro.owner_of)
+            opt = zero1(params, lambda shard: None, _PG(world, rank))
+            owner_maps.append(owner_map(opt.layout))
         # identical on every rank, covers every parameter
         assert all(m == owner_maps[0] for m in owner_maps)
         assert set(owner_maps[0]) == set(range(len(params)))

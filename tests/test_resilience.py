@@ -34,7 +34,7 @@ from repro.resilience import (
     duplicate,
 )
 from repro.resilience.faults import InjectedRankFailure
-from repro.utils import load_training_checkpoint, save_training_checkpoint
+from repro.checkpoint import load_training_checkpoint, save_training_checkpoint
 
 from conftest import small_classifier
 

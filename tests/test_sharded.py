@@ -6,8 +6,8 @@ bit-for-bit-close on the same seeds — on an MLP and on the transformer
 model (paper §7 positions ZeRO as "data parallelism with minimum model
 replication").  On top of parity, the stages have observable structural
 properties (ZeRO-2 drops full gradients, ZeRO-3 keeps parameters as
-near-zero-byte stubs between materializations), checkpoints round-trip
-through both the sharded and the plain loaders, and a crash injected
+near-zero-byte stubs between materializations), sharded engine commits
+restore into sharded and plain targets alike, and a crash injected
 mid-``all_gather_flat`` either fails with a named culprit or is
 survived by the elastic supervisor.
 """
@@ -29,9 +29,8 @@ from repro.sharded import (
     storage_bytes,
 )
 from repro.utils import manual_seed
-from repro.utils.checkpoint import load_training_checkpoint
 
-from conftest import run_world, small_classifier
+from conftest import commit_sharded, restore_latest, run_world, small_classifier
 
 _rng = np.random.default_rng(0)
 X = _rng.standard_normal((24, 6))
@@ -375,7 +374,7 @@ class TestZero3Properties:
 
 class TestShardedCheckpoint:
     def test_zero2_resume_matches_uninterrupted(self, tmp_path):
-        path = str(tmp_path / "z2.npz")
+        root = str(tmp_path)
 
         def uninterrupted(rank):
             _, state = _train_mlp(_zero2_wrap(), rank, 2, iters=4)
@@ -392,13 +391,14 @@ class TestShardedCheckpoint:
                 sdp.zero_grad()
                 loss_fn(sdp(Tensor(X[shard])), Y[shard]).backward()
                 sdp.step()
-            sdp.save_training_state(path, iteration=2, extra={"note": 1})
+            commit_sharded(root, rank, 2, sdp, iteration=2, extra={"note": 1})
+            sdp.process_group.barrier()  # every shard committed
             # A *fresh* replica restores and continues the trajectory.
             fresh = small_classifier(seed=99)  # deliberately different init
             sdp2 = ShardedDataParallel(
                 fresh, lambda ps: SGD(ps, lr=0.05, momentum=0.9), **SMALL_BUCKETS
             )
-            info = sdp2.load_training_state(path)
+            info = restore_latest(root, sdp2, sdp2.optimizer, rank, 2)
             for _ in range(info["iteration"], 4):
                 sdp2.zero_grad()
                 loss_fn(sdp2(Tensor(X[shard])), Y[shard]).backward()
@@ -418,10 +418,10 @@ class TestShardedCheckpoint:
                 )
 
     def test_sharded_checkpoint_loads_with_plain_loader(self, tmp_path):
-        """The consolidated file is byte-compatible with the plain
-        ``load_training_checkpoint``: a single process restores model
-        and (positional) optimizer state from an FSDP-written file."""
-        path = str(tmp_path / "fsdp.npz")
+        """A sharded FSDP commit decodes to the one positional payload:
+        a single process restores model and optimizer state from it
+        into a plain module and optimizer."""
+        root = str(tmp_path)
 
         def body(rank):
             model = small_classifier()
@@ -434,14 +434,14 @@ class TestShardedCheckpoint:
                 fsdp.zero_grad()
                 loss_fn(fsdp(Tensor(X[shard])), Y[shard]).backward()
                 fsdp.step()
-            fsdp.save_training_state(path, iteration=3)
+            commit_sharded(root, rank, 2, fsdp, iteration=3)
             return {k: np.asarray(v).copy() for k, v in fsdp.state_dict().items()}
 
         sharded_state = run_world(2, body, backend="gloo")[0]
 
         plain = small_classifier(seed=123)
         opt = SGD(plain.parameters(), lr=0.05, momentum=0.9)
-        info = load_training_checkpoint(path, plain, opt)
+        info = restore_latest(root, plain, opt)
         assert info["iteration"] == 3
         for name, value in plain.state_dict().items():
             np.testing.assert_allclose(value, sharded_state[name], atol=1e-12)
@@ -452,7 +452,7 @@ class TestShardedCheckpoint:
             assert np.any(buf != 0)
 
     def test_plain_loader_rejects_wrong_parameter_count(self, tmp_path):
-        path = str(tmp_path / "z2.npz")
+        root = str(tmp_path)
 
         def body(rank):
             model = small_classifier()
@@ -461,7 +461,7 @@ class TestShardedCheckpoint:
             sdp.zero_grad()
             loss_fn(sdp(Tensor(X[:4])), Y[:4]).backward()
             sdp.step()
-            sdp.save_training_state(path)
+            commit_sharded(root, rank, 2, sdp, iteration=1)
             return True
 
         assert all(run_world(2, body, backend="gloo"))
@@ -470,7 +470,7 @@ class TestShardedCheckpoint:
         # parameters: positional restore must refuse, not misalign.
         opt = SGD(list(other.parameters())[:2], lr=0.05, momentum=0.9)
         with pytest.raises(ValueError, match="differing parameter lists"):
-            load_training_checkpoint(path, other, opt)
+            restore_latest(root, other, opt)
 
 
 class TestOptimizerStateRoundTrip:
@@ -542,8 +542,10 @@ class TestChaosMidAllGather:
 
     def test_elastic_shrink_survives_the_crash(self, tmp_path):
         plan = FaultPlan([
+            # Two units gather per forward and saves gather nothing:
+            # the fifth all_gather_flat is iteration 2's forward.
             crash_rank(2, scope="collective", op="all_gather_flat",
-                       after=8, times=1),
+                       after=4, times=1),
         ])
 
         def setup(ctx):

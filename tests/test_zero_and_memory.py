@@ -5,9 +5,9 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.baselines import ZeroRedundancyOptimizer
 from repro.core import DistributedDataParallel
 from repro.optim import SGD, Adam
+from repro.sharded import FlatShardLayout, ShardedOptimizer, unit_bucket_specs
 from repro.simulation.memory import memory_breakdown, memory_report
 from repro.simulation.models import bert_profile, resnet50_profile
 
@@ -27,11 +27,37 @@ def _train(rank, make_optimizer, iters=5):
     for _ in range(iters):
         optimizer.zero_grad()
         loss_fn(ddp(Tensor(X[shard])), Y[shard]).backward()
+        if isinstance(optimizer, ShardedOptimizer):
+            optimizer.set_grads_from_params()  # ZeRO-1: slice DDP's grads
         optimizer.step()
     return ddp.state_dict(), optimizer
 
 
-class TestZeroRedundancyOptimizer:
+def zero1(params, optimizer_factory, process_group):
+    """ZeRO-1 over one bucket in forward ``parameters()`` order: the
+    flat concatenation whose spans define ownership."""
+    params = list(params)
+    layout = FlatShardLayout(
+        params, process_group.size,
+        specs=unit_bucket_specs([list(range(len(params)))], params),
+    )
+    return ShardedOptimizer(params, optimizer_factory, process_group, layout=layout)
+
+
+def owner_map(layout):
+    """Primary owner of each parameter in a one-bucket layout: the rank
+    whose span ``layout.span(0, rank)`` holds its first flat element."""
+    owners = {}
+    for index, offset, _ in layout.bucket_entries(0):
+        for rank in range(layout.world):
+            lo, hi = layout.span(0, rank)
+            if lo <= offset < hi:
+                owners[index] = rank
+                break
+    return owners
+
+
+class TestZero1ShardedOptimizer:
     def test_equivalent_to_replicated_momentum_sgd(self):
         """Sharded optimizer states + owner broadcasts == replicated
         optimizers, exactly (the ZeRO stage-1 guarantee)."""
@@ -42,7 +68,7 @@ class TestZeroRedundancyOptimizer:
 
         def sharded(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
+                return zero1(
                     ddp.parameters(),
                     lambda shard: SGD(shard, lr=0.05, momentum=0.9),
                     ddp.process_group,
@@ -64,7 +90,7 @@ class TestZeroRedundancyOptimizer:
 
         def sharded(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
+                return zero1(
                     ddp.parameters(),
                     lambda shard: Adam(shard, lr=0.01),
                     ddp.process_group,
@@ -81,7 +107,7 @@ class TestZeroRedundancyOptimizer:
     def test_state_is_actually_sharded(self):
         def body(rank):
             def make(ddp):
-                return ZeroRedundancyOptimizer(
+                return zero1(
                     ddp.parameters(),
                     lambda shard: SGD(shard, lr=0.05, momentum=0.9),
                     ddp.process_group,
@@ -101,10 +127,10 @@ class TestZeroRedundancyOptimizer:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(model)
-            zro = ZeroRedundancyOptimizer(
+            opt = zero1(
                 ddp.parameters(), lambda s: SGD(s, lr=0.1), ddp.process_group
             )
-            return tuple(sorted(zro.owner_of.items()))
+            return tuple(sorted(owner_map(opt.layout).items()))
 
         maps = run_world(2, body, backend="gloo")
         assert maps[0] == maps[1]
@@ -113,12 +139,12 @@ class TestZeroRedundancyOptimizer:
         def body(rank):
             model = small_classifier()
             ddp = DistributedDataParallel(model)
-            zro = ZeroRedundancyOptimizer(
+            opt = zero1(
                 ddp.parameters(), lambda s: SGD(s, lr=0.1), ddp.process_group
             )
             loads = [0, 0]
-            for index, owner in zro.owner_of.items():
-                loads[owner] += zro.params[index].numel()
+            for index, owner in owner_map(opt.layout).items():
+                loads[owner] += opt.params[index].numel()
             return loads
 
         loads = run_world(2, body, backend="gloo")[0]
@@ -130,7 +156,7 @@ class TestZeroRedundancyOptimizer:
             group_rank = 0
 
         with pytest.raises(ValueError):
-            ZeroRedundancyOptimizer([], lambda s: None, _PG())
+            ShardedOptimizer([], lambda s: None, _PG())
 
 
 class TestMemoryModel:
