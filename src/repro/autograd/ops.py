@@ -252,7 +252,8 @@ class Gelu(Function):
 
     @staticmethod
     def forward(ctx: Context, a):
-        inner = Gelu._C * (a + 0.044715 * a**3)
+        # a*a*a, not a**3: numpy's float pow takes ~50x longer.
+        inner = Gelu._C * (a + 0.044715 * (a * a * a))
         t = np.tanh(inner)
         ctx.save_for_backward(a, t)
         return 0.5 * a * (1.0 + t)

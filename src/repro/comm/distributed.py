@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.comm.blas import rank_threads
 from repro.comm.process_group import BACKENDS, ProcessGroup
 from repro.comm.round_robin import RoundRobinProcessGroup
 from repro.comm.store import Store, StoreTimeoutError
@@ -268,7 +269,8 @@ def run_distributed(
     backend constructor.  A ``fault_plan``
     (:class:`repro.resilience.FaultPlan`) is installed on the hub before
     any rank starts.  The first rank exception is re-raised in the
-    caller.
+    caller.  While the ranks run they share the process's BLAS pool
+    (:func:`repro.comm.blas.rank_threads`).
     """
     store = store or Store(timeout=timeout)
     hub = hub or TransportHub(world_size, default_timeout=timeout)
@@ -299,10 +301,11 @@ def run_distributed(
         threading.Thread(target=runner, args=(rank,), name=f"rank{rank}", daemon=True)
         for rank in range(world_size)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=timeout * 4)
+    with rank_threads(world_size):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout * 4)
     alive = [t.name for t in threads if t.is_alive()]
     if alive and not errors:
         raise TimeoutError(f"rank threads did not finish: {alive}")

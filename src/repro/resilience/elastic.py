@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.checkpoint.engine import CheckpointEngine
+from repro.comm.blas import rank_threads
 from repro.comm.distributed import destroy_process_group, init_process_group
 from repro.comm.store import Store
 from repro.resilience.faults import FaultPlan, InjectedRankFailure
@@ -288,10 +289,11 @@ def run_elastic(
                 spots, generation,
                 f"exceeded max_restarts={config.max_restarts}",
             )
-        report = _run_generation(
-            generation, spots, setup, step, total_iterations, config,
-            fault_plan,
-        )
+        with rank_threads(len(spots)):
+            report = _run_generation(
+                generation, spots, setup, step, total_iterations, config,
+                fault_plan,
+            )
         generations.append(report)
         losses.extend(report["losses"])
         if report["completed"]:

@@ -88,6 +88,25 @@ class TestTranscendental:
     def test_gelu(self, rng):
         check_op_gradient(lambda a: ops.gelu(a).sum(), rng.standard_normal(6))
 
+    def test_gelu_matches_pow_reference(self, rng):
+        # The kernel cubes with a*a*a; the reference keeps the a**3 it
+        # replaced.  The two differ by float64 rounding only.  For large
+        # negative a, GELU is 0.5*a*(1+t) with t near -1, so one ulp of t
+        # is a large relative change of a tiny output: atol covers that.
+        a = np.concatenate([
+            rng.standard_normal(4096), 8.0 * rng.standard_normal(4096),
+            np.linspace(-40.0, 40.0, 801),
+        ])
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (a + 0.044715 * a**3))
+        forward = 0.5 * a * (1.0 + t)
+        backward = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * a**2)
+        x = Tensor(a.copy(), requires_grad=True)
+        out = ops.gelu(x)
+        out.sum().backward()
+        np.testing.assert_allclose(out.data, forward, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(x.grad.data, backward, rtol=1e-15, atol=1e-15)
+
 
 class TestLinearAlgebra:
     def test_matmul_2d(self, rng):
