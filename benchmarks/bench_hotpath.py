@@ -211,7 +211,7 @@ def bench_ddp_iteration(hidden, iters, configs):
                 "layout_allocations": stats["layout_allocations"],
                 "num_buckets": stats["num_buckets"],
                 "overlap_ratio": stats["comm_compute_overlap_ratio"],
-                "phases": dict(ddp.reducer.recorder.last_detail.get("phases", {})),
+                "phases": ddp.reducer.last_iteration_stats,
             }
 
         per_rank = run_distributed(2, body, backend="gloo", timeout=120.0,

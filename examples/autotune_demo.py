@@ -81,7 +81,6 @@ def train(iterations, autotune_seed):
             opt.step()
             losses.append(loss.item())
         report = ddp.ddp_stats()["autotune"]
-        ddp.autotuner.close()
         return losses, report
 
     return body

@@ -423,12 +423,15 @@ class DistributedDataParallel(Module):
         * ``per_bucket_allreduce_latency_s`` — measured execution time
           of each bucket's collective on the communication worker.
         """
+        from repro.telemetry.health import health_report
+        from repro.telemetry.observatory import IterationProfile
+
         reducer = self.reducer
-        detail = reducer.recorder.last_detail
-        bucket_latencies = {
-            entry["bucket"]: entry["allreduce_latency_s"]
-            for entry in detail.get("buckets", ())
-        }
+        last = reducer.recorder.last
+        bucket_latencies = (
+            {bucket.bucket: bucket.comm_s for bucket in last.buckets}
+            if last is not None else {}
+        )
         return {
             "world_size": self.process_group.size,
             "rank": self.process_group.group_rank,
@@ -449,19 +452,28 @@ class DistributedDataParallel(Module):
             "find_unused_parameters": self.find_unused_parameters,
             "unused_parameter_count": reducer.last_unused_parameter_count,
             "overlap_enabled": reducer.overlap,
-            "comm_compute_overlap_ratio": detail.get(
-                "comm_compute_overlap_ratio", 0.0
-            ),
-            "comm_total_s": detail.get("comm_total_s", 0.0),
-            "comm_hidden_s": detail.get("comm_hidden_s", 0.0),
+            "comm_compute_overlap_ratio": last.overlap_ratio if last else 0.0,
+            "comm_total_s": last.comm_total_s if last else 0.0,
+            "comm_hidden_s": last.comm_hidden_s if last else 0.0,
             "per_bucket_allreduce_latency_s": [
                 bucket_latencies.get(b.spec.index, 0.0) for b in reducer.buckets
             ],
-            "last_iteration": dict(reducer.last_iteration_stats),
+            "last_iteration": reducer.last_iteration_stats,
             "debug": self._debug_stats(),
             "resilience": self._resilience_stats(),
-            "profile": self._profile_stats(detail),
-            "health": self._health_stats(detail),
+            # Critical-path attribution of the last synchronized
+            # iteration (overlap ratio, exposed comm, top-3 blame
+            # buckets); needs no telemetry.
+            "profile": (
+                IterationProfile.from_record(last).summary(top=3)
+                if last is not None else None
+            ),
+            # Per-collective efficiency summaries and live cross-rank
+            # diagnoses (those need telemetry on).
+            "health": health_report(
+                rank=self.process_group.global_rank,
+                overlap_ratio=last.overlap_ratio if last else 0.0,
+            ),
             "autotune": (
                 self._autotuner.report() if self._autotuner is not None else None
             ),
@@ -475,28 +487,6 @@ class DistributedDataParallel(Module):
         from repro.checkpoint.engine import stats_for
 
         return stats_for(self.process_group.group_rank)
-
-    def _health_stats(self, detail: dict) -> dict:
-        """Comm-health section: per-collective efficiency summaries for
-        this rank (achieved bus bandwidth, chunk-pipeline utilization,
-        cost-model efficiency, receive stalls) plus the anomaly engine's
-        live cross-rank diagnoses.  The overlap ratio is served from the
-        always-on recorder clock; the rest needs telemetry enabled."""
-        from repro.telemetry.health import health_report
-
-        return health_report(
-            rank=self.process_group.global_rank, last_detail=detail
-        )
-
-    def _profile_stats(self, detail: dict) -> Optional[dict]:
-        """Critical-path attribution of the last synchronized iteration:
-        overlap ratio, exposed-comm time, and the top-3 blame buckets
-        (None before the first sync).  Built from the recorder's coarse
-        clock, so it works with telemetry disabled."""
-        from repro.telemetry.observatory import profile_from_detail
-
-        profile = profile_from_detail(detail, rank=self.process_group.global_rank)
-        return profile.summary(top=3) if profile is not None else None
 
     def _resilience_stats(self) -> Optional[dict]:
         """Transport retry/dedup/corruption counters, when the group runs
@@ -524,8 +514,8 @@ class DistributedDataParallel(Module):
         point).  Returns a :class:`repro.telemetry.StragglerReport`."""
         from repro.telemetry.straggler import detect_stragglers
 
-        phases = self.reducer.recorder.last_detail.get("phases", {})
-        local = float(phases.get("backward_compute", 0.0))
+        last = self.reducer.recorder.last
+        local = last.phases["backward_compute"] if last is not None else 0.0
         return detect_stragglers(self.process_group, local, threshold=threshold)
 
     def __repr__(self) -> str:

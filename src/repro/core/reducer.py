@@ -187,12 +187,9 @@ class Reducer:
 
         self.iterations_synced = 0
         self.rebuilt_bucket_count = 0
-        # Wall-clock phase stats for the previous synchronized
-        # iteration — a real-run analog of the paper's Fig. 6 breakdown.
-        self.last_iteration_stats: Dict[str, float] = {}
         # Single timing source of truth: always-on coarse phase
-        # timestamps; emits spans into the global tracer when telemetry
-        # is enabled (see repro.telemetry.recorder).
+        # timestamps, closed into one IterationRecord per synchronized
+        # backward (see repro.telemetry.recorder).
         self.recorder = IterationRecorder(
             rank=getattr(process_group, "global_rank", None)
         )
@@ -504,14 +501,22 @@ class Reducer:
         if self.order_tracer is not None:
             # Close partial traces (some parameters may not have fired).
             self.order_tracer.end_iteration()
-        self.last_iteration_stats = self.recorder.finish(
+        record = self.recorder.finish(
             [(bucket.spec.index, bucket.work) for bucket in self.buckets]
         )
         logger.debug(
             "iteration %d finalized: exposed comm wait %.3f ms",
             self.iterations_synced,
-            self.last_iteration_stats["comm_exposed_wait"] * 1e3,
+            record.phases["comm_exposed_wait"] * 1e3,
         )
+
+    @property
+    def last_iteration_stats(self) -> Dict[str, float]:
+        """Wall-clock phase stats of the previous synchronized iteration
+        (a real-run analog of the paper's Fig. 6 breakdown); empty
+        before the first one."""
+        record = self.recorder.last
+        return dict(record.phases) if record is not None else {}
 
     def _allreduce_used_bitmap(self) -> np.ndarray:
         """Merge per-rank usage bitmaps; returns the global bitmap.

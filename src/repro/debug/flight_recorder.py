@@ -13,11 +13,11 @@ it at start and end, and while records are on (telemetry or
 Every collective view reads that ring: the JSON dump and cross-rank
 "last N per rank" table, the watchdog's group snapshot and desync
 report, the cross-rank causal timeline (:func:`merge_causal_timeline`,
-:func:`seq_frontier`), the Chrome-trace ``comm`` and ``flight`` rows,
-and the critical-path profiler's comm attribution.  Because every rank
-issues the same collectives in the same order (paper §3.3), ``(group,
-seq)`` names one collective on every rank, and all rank threads share
-one ``perf_counter`` clock, so stitching needs no clock agreement.
+:func:`seq_frontier`), and the Chrome-trace ``comm`` and ``flight``
+rows.  Because every rank issues the same collectives in the same
+order (paper §3.3), ``(group, seq)`` names one collective on every
+rank, and all rank threads share one ``perf_counter`` clock, so
+stitching needs no clock agreement.
 """
 
 from __future__ import annotations
@@ -192,13 +192,9 @@ class CollectiveRecord:
         return f"<CollectiveRecord {self.describe()} {self.state}>"
 
 
-class FlightRecorder:
-    """Bounded ring of :class:`CollectiveRecord` for one rank.
-
-    The issuing (caller) thread appends a record when it schedules the
-    collective; the communication worker updates it in place — one short
-    lock guards the ring.
-    """
+class RecordRing:
+    """Bounded, lock-guarded ring of one rank's records, oldest dropped
+    first (``dropped`` counts them)."""
 
     def __init__(self, rank: int, capacity: int = DEFAULT_CAPACITY):
         self.rank = rank
@@ -207,21 +203,37 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=capacity)
 
-    def append(self, record: CollectiveRecord) -> CollectiveRecord:
+    def append(self, record):
         with self._lock:
             if len(self._ring) == self.capacity:
                 self.dropped += 1
             self._ring.append(record)
         return record
 
-    # -- introspection --------------------------------------------------
     def depth(self) -> int:
         with self._lock:
             return len(self._ring)
 
-    def records(self, group_id=None) -> List[CollectiveRecord]:
+    def records(self) -> list:
         with self._lock:
-            records = list(self._ring)
+            return list(self._ring)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._ring.clear()
+            self.dropped = 0
+
+
+class FlightRecorder(RecordRing):
+    """Bounded ring of :class:`CollectiveRecord` for one rank.
+
+    The issuing (caller) thread appends a record when it schedules the
+    collective; the communication worker updates it in place — one short
+    lock guards the ring.
+    """
+
+    def records(self, group_id=None) -> List[CollectiveRecord]:
+        records = super().records()
         if group_id is not None:
             records = [r for r in records if r.group_id == group_id]
         return records
@@ -267,11 +279,6 @@ class FlightRecorder:
             "dropped": self.dropped,
             "records": [r.as_dict() for r in self.records()],
         }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self.dropped = 0
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ threaded ``Reducer``/``ProcessGroup`` path:
 * :mod:`~repro.telemetry.spans` — low-overhead span tracer: per-rank
   ring buffers, context-manager and explicit begin/end forms, one-branch
   no-op fast path while disabled.
-* :mod:`~repro.telemetry.recorder` — the reducer's single timing source
-  (phases, per-bucket ready→launch→comm intervals, overlap ratio).
+* :mod:`~repro.telemetry.recorder` — the reducer's single timing source:
+  one ``IterationRecord`` per synchronized backward (phases, per-bucket
+  ready→launch→comm intervals, overlap ratio) in a bounded per-rank ring.
 * :mod:`~repro.telemetry.chrome_trace` — measured-timeline export in
   the Trace Event Format (one ``pid`` per rank, compute vs. comm
   ``tid`` rows), directly comparable with the simulator's exporter.
@@ -56,7 +57,13 @@ from repro.telemetry.metrics import (
     merge_snapshots,
     registry_for,
 )
-from repro.telemetry.recorder import IterationRecorder, work_interval
+from repro.telemetry.recorder import (
+    IterationRecord,
+    IterationRecorder,
+    clear_iteration_rings,
+    iteration_rings,
+    work_interval,
+)
 from repro.telemetry.spans import (
     Span,
     SpanRecord,
@@ -83,7 +90,6 @@ from repro.telemetry.observatory import (
     IterationProfile,
     MetricsSampler,
     PrometheusExporter,
-    profile_from_detail,
     prometheus_text,
     start_exporter,
 )
@@ -96,11 +102,12 @@ def get_metrics(rank=None) -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Drop every recorded span, metric, and collective record (enabled
-    state unchanged)."""
+    """Drop every recorded span, metric, collective record and iteration
+    record (enabled state unchanged)."""
     get_tracer().clear()
     clear_all_registries()
     clear_recorders()
+    clear_iteration_rings()
 
 
 __all__ = [
@@ -110,6 +117,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "IterationProfile",
+    "IterationRecord",
     "IterationRecorder",
     "MetricsRegistry",
     "MetricsSampler",
@@ -132,11 +140,11 @@ __all__ = [
     "health",
     "health_report",
     "is_enabled",
+    "iteration_rings",
     "maybe_start_from_env",
     "merge_causal_timeline",
     "merge_snapshots",
     "merged_trace_events",
-    "profile_from_detail",
     "prometheus_text",
     "registry_for",
     "render_diagnoses",

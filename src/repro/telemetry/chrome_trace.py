@@ -12,9 +12,10 @@ All ranks share one process clock (``perf_counter``), so cross-rank
 alignment is exact; timestamps are rebased to the earliest recorded
 span and expressed in microseconds, as the format requires.
 
-The ``comm`` rows are not spans: they are views of the per-rank
-collective records (:mod:`repro.debug.flight_recorder`), one bar per
-collective over its execution interval (:func:`comm_spans`).
+The reducer's ``compute`` rows and the ``comm`` rows are not spans:
+they are views of the per-rank iteration records
+(:mod:`repro.telemetry.recorder`, :func:`compute_spans`) and collective
+records (:mod:`repro.debug.flight_recorder`, :func:`comm_spans`).
 
 :func:`merged_trace_events` widens the picture into one timeline:
 telemetry spans, the same records' full lifecycles, and
@@ -33,6 +34,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro.debug.flight_recorder import all_recorders
+from repro.telemetry.recorder import iteration_rings
 from repro.telemetry.spans import SpanRecord, SpanTracer, TRACER
 
 #: Stable tid assignment so compute is always the top row per rank.
@@ -60,6 +62,47 @@ def comm_spans() -> List[SpanRecord]:
                 f"{record.op}#{record.seq}", "comm", "comm", rank,
                 record.t_start, record.t_end, 0, args,
             ))
+    return spans
+
+
+def compute_spans() -> List[SpanRecord]:
+    """Every retained iteration record as reducer rows on ``compute``.
+
+    Per record: an ``iteration N`` umbrella, the
+    ``prepare_to_first_grad`` / ``backward_compute`` /
+    ``finalize(wait+copy_back)`` phases beneath it, and one
+    ``bucket i ready→launch`` bar per launched bucket.
+    """
+    spans: List[SpanRecord] = []
+    for rank, ring in sorted(iteration_rings().items()):
+        for rec in ring.records():
+            iteration = {"iteration": rec.iteration}
+            spans.append(SpanRecord(
+                f"iteration {rec.iteration}", "iteration", "compute", rank,
+                rec.t_prepare, rec.t_done, 0,
+                {**iteration, "overlap_ratio": round(rec.overlap_ratio, 4)},
+            ))
+            phases = (
+                ("prepare_to_first_grad", rec.t_prepare, rec.t_first_grad),
+                ("backward_compute", rec.t_first_grad, rec.t_all_grads),
+            )
+            for name, lo, hi in phases:
+                if hi > lo:
+                    spans.append(SpanRecord(name, "compute", "compute", rank,
+                                            lo, hi, 1, dict(iteration)))
+            spans.append(SpanRecord(
+                "finalize(wait+copy_back)", "compute", "compute", rank,
+                rec.t_all_grads, rec.t_done, 1, dict(iteration),
+            ))
+            for bucket in rec.buckets:
+                if (bucket.t_ready is not None and bucket.t_launch is not None
+                        and bucket.t_launch >= bucket.t_ready):
+                    spans.append(SpanRecord(
+                        f"bucket {bucket.bucket} ready→launch", "bucket",
+                        "compute", rank, bucket.t_ready, bucket.t_launch, 2,
+                        {**iteration, "bucket": bucket.bucket,
+                         "bytes": bucket.nbytes},
+                    ))
     return spans
 
 
@@ -95,10 +138,11 @@ def _metadata_events(seen_tids: Dict[int, Dict[str, int]]) -> List[dict]:
 
 def trace_events(tracer: Optional[SpanTracer] = None) -> List[dict]:
     """Trace Event Format records for every span the tracer holds, plus
-    the ``comm`` rows of the collective records."""
+    the ``compute`` rows of the iteration records and the ``comm`` rows
+    of the collective records."""
     tracer = tracer or TRACER
     events: List[dict] = []
-    all_spans = tracer.spans() + comm_spans()
+    all_spans = tracer.spans() + compute_spans() + comm_spans()
     if not all_spans:
         return events
     epoch = min(span.t_start for span in all_spans)
@@ -147,8 +191,8 @@ def merged_trace_events(
 
     Three tracks per rank, all on the shared ``perf_counter`` clock:
 
-    * telemetry spans and ``comm`` rows (the rows :func:`trace_events`
-      emits);
+    * telemetry spans, ``compute`` and ``comm`` rows (the rows
+      :func:`trace_events` emits);
     * the collective records' lifecycles — one ``op#seq`` bar per
       collective (scheduled → completed), on a ``flight`` row; records
       that never finished render up to their last known timestamp with
@@ -158,7 +202,7 @@ def merged_trace_events(
       (``ph: "i"``) markers on a ``resilience`` row.
     """
     tracer = tracer or TRACER
-    all_spans = tracer.spans() + comm_spans()
+    all_spans = tracer.spans() + compute_spans() + comm_spans()
     flight = (
         [(rank, record) for rank, recorder in sorted(all_recorders().items())
          for record in recorder.records()]

@@ -13,7 +13,8 @@ counters and spans, and the cross-rank collective records, and emit
   bandwidth; the cost-model expectation rides along in the evidence as
   ``comm.model_efficiency``).
 * **overlap_collapse** — a rank's comm/compute overlap ratio fell to a
-  fraction of its own earlier healthy level (paper Fig. 4 regression).
+  fraction of its own earlier healthy level (paper Fig. 4 regression);
+  live, the history is the rank's iteration-record ring.
 * **retransmit_storm** — transport retry/retransmit/corruption counters
   grow far faster than collectives complete: a lossy or corrupting
   wire, attributed to the receiving rank (and, when the resilience
@@ -24,8 +25,8 @@ counters and spans, and the cross-rank collective records, and emit
   alive.
 
 Two entry points share the rules: :func:`analyze_snapshots` fuses live
-registry snapshots + collective records (what ``ddp_stats()["health"]``
-serves), and :func:`analyze_ticks` replays a
+registry snapshots + collective and iteration records (what
+``ddp_stats()["health"]`` serves), and :func:`analyze_ticks` replays a
 :meth:`~repro.telemetry.observatory.sampler.MetricsSampler.dump_jsonl`
 file offline (what ``tools/healthctl.py`` serves).  Both are pure
 functions of their inputs with deterministic thresholds, so a seeded
@@ -154,9 +155,6 @@ def _signals_from_snapshots(
             transport[rank] = detail
         collectives[rank] = float(counters.get("health.collectives_accounted", 0.0))
         hists = snap.get("histograms", {}) or {}
-        overlap_hist = hists.get("iteration.overlap_ratio_dist")
-        if rank not in overlap and overlap_hist and overlap_hist.get("samples"):
-            overlap[rank] = [float(v) for v in overlap_hist["samples"]]
         eff = hists.get("comm.model_efficiency")
         if eff and eff.get("count"):
             model_eff[rank] = float(eff.get("mean", 0.0))
@@ -414,22 +412,30 @@ def analyze_snapshots(
 
     With no arguments this is the live health check: all registries are
     snapshotted, the collective records supply the sequence frontier,
-    the resilience spans the storm-edge attribution, and — live only —
+    the iteration records each rank's overlap-ratio history, the
+    resilience spans the storm-edge attribution, and — live only —
     the diagnosis count is published as the ``health.diagnoses_active``
     gauge (rank −1) so a Prometheus alert can fire on it.
     """
     th = thresholds or Thresholds()
     live = snapshots is None
     frontier: Dict[int, Dict[int, int]] = {}
+    overlap: Dict[int, List[float]] = {}
     storm_edges: Optional[Dict[int, Dict[int, int]]] = None
     if live:
         from repro.debug.flight_recorder import seq_frontier
         from repro.telemetry.metrics import all_snapshots
+        from repro.telemetry.recorder import iteration_rings
 
         snapshots = all_snapshots()
         frontier = seq_frontier()
+        overlap = {
+            rank: [record.overlap_ratio for record in ring.records()]
+            for rank, ring in iteration_rings().items()
+        }
         storm_edges = _storm_edges()
-    signals = _signals_from_snapshots(snapshots, frontier=frontier)
+    signals = _signals_from_snapshots(snapshots, frontier=frontier,
+                                      overlap_series=overlap)
     diagnoses = _run_detectors(signals, th, storm_edges)
     if live:
         from repro.telemetry.metrics import registry_for
@@ -516,14 +522,12 @@ def analyze_jsonl(path: str, thresholds: Optional[Thresholds] = None) -> dict:
 _HIST_SUMMARY_FIELDS = ("count", "mean", "min", "max", "p50", "p95", "p99")
 
 
-def health_report(
-    rank: Optional[int] = None, last_detail: Optional[dict] = None
-) -> dict:
+def health_report(rank: Optional[int] = None, overlap_ratio: float = 0.0) -> dict:
     """The per-rank health section ``ddp_stats`` embeds.
 
     Efficiency summaries come from this rank's registry; the diagnosis
-    list is cross-rank (all registries live in this process).  The
-    overlap ratio is served from the always-on recorder detail, so the
+    list is cross-rank (all registries live in this process).
+    ``overlap_ratio`` is the caller's newest iteration record's, so the
     field is meaningful even with telemetry (and thus the accounting)
     disabled.
     """
@@ -545,9 +549,7 @@ def health_report(
     ring = all_recorders().get(rank)
     return {
         "enabled": enabled,
-        "overlap_ratio": float(
-            (last_detail or {}).get("comm_compute_overlap_ratio", 0.0)
-        ),
+        "overlap_ratio": float(overlap_ratio),
         "achieved_busbw_gbps": summarize("comm.achieved_busbw_gbps"),
         "chunk_pipeline_utilization": summarize("comm.chunk_pipeline_utilization"),
         "collective_latency_s": summarize("comm.collective_latency_s"),

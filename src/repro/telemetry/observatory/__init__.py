@@ -49,7 +49,6 @@ from repro.telemetry.observatory.exporter import (
 from repro.telemetry.observatory.profiler import (
     CriticalPathProfiler,
     IterationProfile,
-    profile_from_detail,
 )
 from repro.telemetry.observatory.sampler import (
     MetricsSampler,
@@ -66,7 +65,6 @@ __all__ = [
     "SeriesPoint",
     "flush_active_samplers",
     "maybe_start_from_env",
-    "profile_from_detail",
     "prometheus_text",
     "start_exporter",
     "stop_env_exporter",

@@ -18,19 +18,18 @@ where the wall time went.  Per iteration and rank it attributes:
 The four terms tile the iteration exactly — they are carved out of the
 same ``[prepare, done]`` envelope the recorder stamps — so the
 attribution sums to measured iteration wall time by construction.
-``overlap_ratio`` uses the recorder's own per-interval formula and
-therefore agrees with ``ddp_stats()["comm_compute_overlap_ratio"]``.
+``overlap_ratio``, ``comm_total_s`` and ``comm_hidden_s`` are the
+record's own, so they equal ``ddp_stats()["comm_compute_overlap_ratio"]``
+and friends.
 
-Two sources feed the same math:
-
-* :func:`profile_from_detail` — the reducer's always-on
-  ``IterationRecorder.last_detail`` (no telemetry required; this is
-  what ``ddp_stats()["profile"]`` reports);
-* :class:`CriticalPathProfiler` — the span tracer's iteration spans
-  plus the collective records' ``comm`` rows, which cover *every*
-  retained iteration on *every* rank and so also support
-  the cross-rank straggler summary ("rank 2 finished last on 7/10
-  iterations").
+Every profile is built from one
+:class:`~repro.telemetry.recorder.IterationRecord`
+(:meth:`IterationProfile.from_record`): ``ddp_stats()["profile"]``
+profiles the reducer's newest record (no telemetry required), and
+:class:`CriticalPathProfiler` profiles every record in the per-rank
+iteration rings, which cover every retained iteration on every rank
+and so also support the cross-rank straggler summary ("rank 2 finished
+last on 7/10 iterations").
 """
 
 from __future__ import annotations
@@ -38,13 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.chrome_trace import comm_spans
-from repro.telemetry.spans import SpanTracer, TRACER
-
-#: Span names the recorder emits for the per-iteration phases.
-_PHASE_PREPARE = "prepare_to_first_grad"
-_PHASE_BACKWARD = "backward_compute"
-_PHASE_FINALIZE = "finalize(wait+copy_back)"
+from repro.telemetry.recorder import IterationRecord, iteration_rings
 
 
 def _union_within(intervals: Sequence[Tuple[float, float]],
@@ -117,6 +110,51 @@ class IterationProfile:
     launch_gap_s: float
     idle_bubble_s: float
     buckets: List[BucketBlame] = field(default_factory=list)
+
+    @classmethod
+    def from_record(cls, record: IterationRecord) -> "IterationProfile":
+        """Attribute one iteration record's wall time."""
+        t_all, t_done = record.t_all_grads, record.t_done
+        intervals = record.comm_intervals()
+        exposed = _union_within(intervals, t_all, t_done)
+        buckets = [
+            BucketBlame(
+                bucket=bucket.bucket,
+                bytes=bucket.nbytes,
+                comm_s=bucket.comm_s,
+                hidden_s=record.hidden_s(bucket.comm_start, bucket.comm_end),
+                exposed_s=max(0.0, min(bucket.comm_end, t_done)
+                              - max(bucket.comm_start, t_all)),
+                launch_delay_s=bucket.launch_delay_s,
+            )
+            for bucket in record.buckets if bucket.comm_start is not None
+        ]
+        # Idle bubbles: time inside the communication window where no
+        # collective was executing — launch-ordering stalls and queueing
+        # gaps on the comm stream(s).
+        if intervals:
+            comm_lo = min(start for start, _ in intervals)
+            comm_hi = max(end for _, end in intervals)
+            busy = _union_within(intervals, comm_lo, comm_hi)
+            idle_bubble = max(0.0, (comm_hi - comm_lo) - busy)
+        else:
+            idle_bubble = 0.0
+        return cls(
+            rank=record.rank,
+            iteration=record.iteration,
+            t_start=record.t_prepare,
+            t_end=t_done,
+            prepare_s=max(0.0, record.t_first_grad - record.t_prepare),
+            backward_s=max(0.0, t_all - record.t_first_grad),
+            exposed_comm_s=exposed,
+            finalize_other_s=max(0.0, max(0.0, t_done - t_all) - exposed),
+            comm_total_s=record.comm_total_s,
+            comm_hidden_s=record.comm_hidden_s,
+            overlap_ratio=record.overlap_ratio,
+            launch_gap_s=sum(b.launch_delay_s for b in record.buckets),
+            idle_bubble_s=idle_bubble,
+            buckets=buckets,
+        )
 
     @property
     def total_s(self) -> float:
@@ -207,98 +245,6 @@ class IterationProfile:
         return "\n".join(lines)
 
 
-def _build_profile(
-    rank: Optional[int],
-    iteration: int,
-    t_prepare: float,
-    t_first: float,
-    t_all: float,
-    t_done: float,
-    comm: Sequence[Tuple[Optional[int], int, float, float]],
-    launch_delays: Dict[Optional[int], float],
-) -> IterationProfile:
-    """Shared attribution math over (bucket, bytes, start, end) intervals."""
-    intervals = [(start, end) for _, _, start, end in comm]
-    # Recorder-identical per-interval sums (overlap ratio agreement).
-    comm_total = sum(end - start for start, end in intervals)
-    comm_hidden = sum(
-        max(0.0, min(end, t_all) - max(start, t_first))
-        for start, end in intervals
-    )
-    overlap_ratio = (comm_hidden / comm_total) if comm_total > 0 else 0.0
-    exposed = _union_within(intervals, t_all, t_done)
-    finalize = max(0.0, t_done - t_all)
-    buckets = [
-        BucketBlame(
-            bucket=bucket,
-            bytes=nbytes,
-            comm_s=end - start,
-            hidden_s=max(0.0, min(end, t_all) - max(start, t_first)),
-            exposed_s=max(0.0, min(end, t_done) - max(start, t_all)),
-            launch_delay_s=launch_delays.get(bucket, 0.0),
-        )
-        for bucket, nbytes, start, end in comm
-    ]
-    # Idle bubbles: time inside the communication window where no
-    # collective was executing — launch-ordering stalls and queueing
-    # gaps on the comm stream(s).
-    if intervals:
-        comm_lo = min(start for start, _ in intervals)
-        comm_hi = max(end for _, end in intervals)
-        busy = _union_within(intervals, comm_lo, comm_hi)
-        idle_bubble = max(0.0, (comm_hi - comm_lo) - busy)
-    else:
-        idle_bubble = 0.0
-    return IterationProfile(
-        rank=rank,
-        iteration=iteration,
-        t_start=t_prepare,
-        t_end=t_done,
-        prepare_s=max(0.0, t_first - t_prepare),
-        backward_s=max(0.0, t_all - t_first),
-        exposed_comm_s=exposed,
-        finalize_other_s=max(0.0, finalize - exposed),
-        comm_total_s=comm_total,
-        comm_hidden_s=comm_hidden,
-        overlap_ratio=overlap_ratio,
-        launch_gap_s=sum(launch_delays.values()),
-        idle_bubble_s=idle_bubble,
-        buckets=buckets,
-    )
-
-
-def profile_from_detail(detail: dict, rank: Optional[int] = None
-                        ) -> Optional[IterationProfile]:
-    """Build a profile from ``IterationRecorder.last_detail``.
-
-    Works with telemetry disabled — the recorder's coarse clock is
-    always on.  Returns ``None`` when no iteration has finished yet.
-    """
-    stamps = detail.get("timestamps")
-    if not stamps:
-        return None
-    comm = [
-        (entry["bucket"], entry.get("bytes", 0),
-         entry["comm_start"], entry["comm_end"])
-        for entry in detail.get("buckets", ())
-        if "comm_start" in entry
-    ]
-    delays = {
-        entry["bucket"]: entry.get("ready_to_launch_delay_s", 0.0)
-        for entry in detail.get("buckets", ())
-    }
-    return _build_profile(
-        rank,
-        detail.get("iteration", -1),
-        stamps["prepare"],
-        stamps["first_grad"],
-        stamps["all_grads"],
-        stamps["done"],
-        comm,
-        delays,
-    )
-
-
 @dataclass
 class StragglerSummary:
     """Which rank finished its iterations last, and how often."""
@@ -323,79 +269,24 @@ class StragglerSummary:
 
 
 class CriticalPathProfiler:
-    """Builds :class:`IterationProfile` objects from span records.
+    """Builds :class:`IterationProfile` objects from the iteration rings.
 
-    Requires telemetry to have been enabled during the run — the spans
-    are the evidence.  One profiler call reads the tracer's current
-    rings; it holds no state of its own.
+    The rings fill while collective records are kept (telemetry or
+    ``REPRO_DEBUG`` on).  One profiler call reads the current rings; it
+    holds no state of its own.
     """
 
-    def __init__(self, tracer: Optional[SpanTracer] = None):
-        self.tracer = tracer or TRACER
-
-    # -- span grouping ---------------------------------------------------
-    def _collect(self) -> Dict[Tuple[int, int], dict]:
-        """Group spans into per-(rank, iteration) evidence bags."""
-        bags: Dict[Tuple[int, int], dict] = {}
-        comm_by_rank: Dict[int, list] = {}
-        for span in self.tracer.spans():
-            args = span.args or {}
-            if span.cat == "iteration" and "iteration" in args:
-                key = (span.rank, args["iteration"])
-                bag = bags.setdefault(key, {"phases": {}, "delays": {}})
-                bag["envelope"] = (span.t_start, span.t_end)
-            elif span.name in (_PHASE_PREPARE, _PHASE_BACKWARD,
-                               _PHASE_FINALIZE) and "iteration" in args:
-                key = (span.rank, args["iteration"])
-                bag = bags.setdefault(key, {"phases": {}, "delays": {}})
-                bag["phases"][span.name] = (span.t_start, span.t_end)
-            elif span.cat == "bucket" and "iteration" in args:
-                key = (span.rank, args["iteration"])
-                bag = bags.setdefault(key, {"phases": {}, "delays": {}})
-                bag["delays"][args.get("bucket")] = span.duration
-        # The comm rows are views of the collective records.
-        for span in comm_spans():
-            comm_by_rank.setdefault(span.rank, []).append(span)
-        # Attribute comm spans to iterations by time containment of
-        # their start (a bucket AllReduce is launched inside exactly one
-        # iteration window, even if it drains into finalize).
-        for (rank, _iteration), bag in bags.items():
-            envelope = bag.get("envelope")
-            if envelope is None:
-                continue
-            lo, hi = envelope
-            bag["comm"] = [
-                (span.args.get("bucket") if span.args else None,
-                 (span.args or {}).get("bytes", 0),
-                 span.t_start, span.t_end)
-                for span in comm_by_rank.get(rank, ())
-                if lo <= span.t_start < hi
-                and (span.args or {}).get("op", "allreduce") == "allreduce"
-            ]
-        return bags
-
-    # -- profiles --------------------------------------------------------
     def profiles(self, rank: Optional[int] = None) -> List[IterationProfile]:
-        """Profiles for every complete (iteration, rank) in the tracer,
-        ordered by iteration then rank; optionally one rank only."""
-        out: List[IterationProfile] = []
-        for (span_rank, iteration), bag in sorted(self._collect().items(),
-                                                  key=lambda kv: (kv[0][1], kv[0][0])):
-            if rank is not None and span_rank != rank:
-                continue
-            envelope = bag.get("envelope")
-            if envelope is None:
-                continue  # phase spans survived the ring, umbrella did not
-            t0, t3 = envelope
-            prepare = bag["phases"].get(_PHASE_PREPARE)
-            backward = bag["phases"].get(_PHASE_BACKWARD)
-            t1 = prepare[1] if prepare else t0
-            t2 = backward[1] if backward else t1
-            out.append(
-                _build_profile(span_rank, iteration, t0, t1, t2, t3,
-                               bag.get("comm", []), bag["delays"])
-            )
-        return out
+        """Profiles for every retained (iteration, rank), ordered by
+        iteration then rank; optionally one rank only."""
+        records = [
+            record
+            for ring_rank, ring in iteration_rings().items()
+            if rank is None or ring_rank == rank
+            for record in ring.records()
+        ]
+        records.sort(key=lambda r: (r.iteration, r.rank))
+        return [IterationProfile.from_record(record) for record in records]
 
     def profile(self, rank: int, iteration: Optional[int] = None
                 ) -> Optional[IterationProfile]:

@@ -1,5 +1,7 @@
 """The online autotuner: knob registry, cost prior, search policy, live runs."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -324,7 +326,6 @@ class TestLiveRetune:
                 opt.step()
                 losses.append(loss.item())
             stats = ddp.ddp_stats()["autotune"]
-            ddp.autotuner.close()
             return losses, stats
 
         results = run_world(2, body, backend="gloo", timeout=60)
@@ -343,6 +344,27 @@ class TestLiveRetune:
         # Training still learns through live retunes.
         losses = results[0][0]
         assert losses[-1] < losses[0]
+
+    def test_autotuned_run_leaves_thread_count_unchanged(self):
+        """The tuner runs on the training thread: a finished autotuned
+        run leaves no thread of its own behind."""
+        before = threading.active_count()
+
+        def body(rank):
+            ddp = DistributedDataParallel(
+                small_classifier(), bucket_cap_mb=1.0, autotune=True,
+                autotune_options={"window_iters": 2, "warmup_windows": 1},
+            )
+            opt = SGD(ddp.parameters(), lr=0.05)
+            shard = slice(rank * 4, (rank + 1) * 4)
+            for _ in range(6):
+                opt.zero_grad()
+                nn.CrossEntropyLoss()(ddp(Tensor(X[shard])), Y[shard]).backward()
+                opt.step()
+            return ddp.ddp_stats()["autotune"]["windows_closed"]
+
+        assert run_world(2, body, backend="gloo") == [2, 2]
+        assert threading.active_count() == before
 
     def test_stats_section_absent_without_autotune(self):
         def body(rank):

@@ -4,7 +4,8 @@ Wraps ``tools/check_docstrings.py`` (the same script CI runs as a
 standalone step) so the requirement is enforced by the tier-1 suite
 too: every public module, class, and function in the communication
 layer must carry a docstring.  Also checks that ``tools/check_docs.py``
-catches docs naming a module path that no longer exists.
+catches docs naming a module path that no longer exists, and an
+``autotune_options`` table out of step with ``Autotuner``.
 """
 
 import sys
@@ -35,3 +36,23 @@ def test_docs_check_flags_a_deleted_module_path():
                           "`repro.telemetry.health.events`")]
     problems = check_module_refs(docs, verbose=False)
     assert len(problems) == 1 and "repro.telemetry.health.events" in problems[0]
+
+
+def test_docs_check_flags_a_stale_autotune_option_row():
+    """A row in the ``autotune_options`` table naming an option
+    ``Autotuner`` no longer takes fails the gate; so does a missing one."""
+    from check_docs import check_autotune_options
+
+    path = str(REPO_ROOT / "docs" / "autotuning.md")
+    text = Path(path).read_text()
+    assert check_autotune_options([(path, text)]) == []
+
+    marker = "| `window_iters` |"
+    stale = text.replace(marker, "| `retired_option` | `1` | gone |\n" + marker, 1)
+    problems = check_autotune_options([(path, stale)])
+    assert len(problems) == 1 and "retired_option" in problems[0]
+
+    missing = "\n".join(line for line in text.splitlines()
+                        if not line.startswith("| `seed` |"))
+    problems = check_autotune_options([(path, missing)])
+    assert len(problems) == 1 and "seed" in problems[0]

@@ -38,6 +38,7 @@ from repro.telemetry.health import (
     seq_frontier,
 )
 from repro.core import DistributedDataParallel
+from repro.telemetry.recorder import BucketTiming, IterationRecord, iteration_ring
 from repro.debug import (
     CollectiveRecord,
     FlightRecorder,
@@ -127,13 +128,20 @@ class TestRecordTimeline:
 # ----------------------------------------------------------------------
 # detectors over synthetic signals (unit)
 # ----------------------------------------------------------------------
-def _snap(rank, counters=None, histograms=None):
+def _snap(rank, counters=None):
     return {
         "rank": rank,
         "counters": counters or {},
         "gauges": {},
-        "histograms": histograms or {},
+        "histograms": {},
     }
+
+
+def _iteration_record(rank, iteration, overlap):
+    """A one-bucket iteration record with overlap ratio ``overlap``: 1 s
+    of comm that starts ``overlap`` s before backward compute ends."""
+    bucket = BucketTiming(0, 8, None, None, 1.0 - overlap, 2.0 - overlap)
+    return IterationRecord(rank, iteration, 0.0, 0.0, 1.0, 2.0, [bucket])
 
 
 class TestDetectors:
@@ -187,21 +195,16 @@ class TestDetectors:
         assert analyze_snapshots([_snap(0, base), _snap(2, long_run)]) == []
 
     def test_overlap_collapse_compares_late_to_own_early_mean(self):
-        collapsed = _snap(1, histograms={
-            "iteration.overlap_ratio_dist": {
-                "count": 12, "samples": [0.6] * 6 + [0.1] * 6,
-            }
-        })
-        diagnoses = analyze_snapshots([collapsed])
+        for iteration, ratio in enumerate([0.6] * 6 + [0.1] * 6):
+            iteration_ring(1).append(_iteration_record(1, iteration, ratio))
+        diagnoses = analyze_snapshots()
         assert [d.kind for d in diagnoses] == [OVERLAP_COLLAPSE]
         assert diagnoses[0].culprit_rank == 1
         # A rank that never overlapped well has nothing to collapse from.
-        never_good = _snap(1, histograms={
-            "iteration.overlap_ratio_dist": {
-                "count": 12, "samples": [0.1] * 12,
-            }
-        })
-        assert analyze_snapshots([never_good]) == []
+        telemetry.reset()
+        for iteration in range(12):
+            iteration_ring(1).append(_iteration_record(1, iteration, 0.1))
+        assert analyze_snapshots() == []
 
     def test_desync_precursor_reads_the_live_event_frontier(self):
         for seq in range(20):

@@ -5,8 +5,9 @@ merging, time-series sampling with cross-rank aggregation (including
 the teardown flush and the latency step under an injected straggler),
 a Prometheus exposition that passes a line-format checker and a live
 scrape, critical-path attribution that sums to measured iteration wall
-time within 2% and agrees with the recorder's overlap ratio, and the
-merged spans + flight-recorder + resilience Chrome trace.
+time within 2% and agrees exactly with ``ddp_stats()`` under every comm
+hook, the bounded iteration ring, and the merged spans +
+flight-recorder + resilience Chrome trace.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from repro.telemetry.metrics import (
     percentile_of,
     registry_for,
 )
+from repro.core.comm_hooks import make_hook
+from repro.debug.flight_recorder import DEFAULT_CAPACITY
 from repro.telemetry.observatory import (
     CriticalPathProfiler,
     MetricsSampler,
     PrometheusExporter,
-    profile_from_detail,
     prometheus_text,
     start_exporter,
 )
+from repro.telemetry.recorder import IterationRecorder, iteration_rings
 from repro.utils import manual_seed
 
 
@@ -251,8 +254,9 @@ class TestPrometheusExporter:
 # ----------------------------------------------------------------------
 # critical-path profiler
 # ----------------------------------------------------------------------
-def _fig06_workload(world=4, width=192, depth=2, iterations=8):
-    """The bench_fig06_breakdown measured workload, test-sized."""
+def _fig06_workload(world=4, width=192, depth=2, iterations=8, hook=None):
+    """The bench_fig06_breakdown measured workload, test-sized, with an
+    optional comm hook (a ``make_hook`` name)."""
     stats_by_rank = {}
 
     def body(rank):
@@ -262,6 +266,8 @@ def _fig06_workload(world=4, width=192, depth=2, iterations=8):
             layers += [nn.Linear(width, width), nn.ReLU()]
         layers += [nn.Linear(width, 8)]
         ddp = DistributedDataParallel(nn.Sequential(*layers), bucket_cap_mb=0.25)
+        if hook is not None:
+            ddp.register_comm_hook(make_hook(hook))
         opt = optim.SGD(ddp.parameters(), lr=0.01)
         rng = np.random.default_rng(rank)
         loss_fn = nn.CrossEntropyLoss()
@@ -295,18 +301,31 @@ class TestCriticalPathProfiler:
                 f"(iteration {profile.iteration}, rank {profile.rank})"
             )
 
-    def test_overlap_ratio_agrees_with_recorder(self):
+    @pytest.mark.parametrize("hook", ["native", "fp16", "topk", "powersgd"])
+    def test_overlap_ratio_agrees_with_recorder(self, hook):
         telemetry.enable()
-        stats_by_rank = _fig06_workload(iterations=4)
+        stats_by_rank = _fig06_workload(
+            iterations=4, hook=None if hook == "native" else hook
+        )
         profiler = CriticalPathProfiler()
         for rank, stats in stats_by_rank.items():
             profile = profiler.profile(rank=rank)  # latest iteration
             assert profile is not None
-            assert profile.overlap_ratio == pytest.approx(
-                stats["comm_compute_overlap_ratio"], abs=1e-9
-            )
+            assert profile.overlap_ratio == stats["comm_compute_overlap_ratio"]
+            assert profile.overlap_ratio == stats["profile"]["overlap_ratio"]
+            assert profile.comm_total_s == stats["comm_total_s"]
+            assert profile.exposed_comm_s * 1e3 == stats["profile"]["exposed_comm_ms"]
+        # The profiles and the Chrome iteration rows cover the same
+        # (rank, iteration) pairs.
+        rows = {
+            (event["pid"], event["args"]["iteration"])
+            for event in telemetry.trace_events()
+            if event.get("cat") == "iteration"
+        }
+        assert {(p.rank, p.iteration) for p in profiler.profiles()} == rows
+        assert len(rows) == 4 * 4
 
-    def test_profile_from_detail_matches_span_profiler(self):
+    def test_ddp_stats_profile_summary(self):
         telemetry.enable()
         stats_by_rank = _fig06_workload(iterations=4)
         prof = stats_by_rank[0]["profile"]
@@ -344,8 +363,51 @@ class TestCriticalPathProfiler:
         assert re.match(r"rank \d+ is the straggler on \d+/4 iterations",
                         summary.describe())
 
-    def test_profile_from_detail_empty(self):
-        assert profile_from_detail({}) is None
+    def test_profile_is_none_before_first_sync(self):
+        def body(rank):
+            ddp = DistributedDataParallel(nn.Linear(4, 2))
+            return ddp.ddp_stats()["profile"]
+
+        assert run_world(2, body, backend="gloo") == [None, None]
+        assert CriticalPathProfiler().last_profile() is None
+
+
+class TestIterationRing:
+    """The per-rank iteration ring stays bounded and gated."""
+
+    @staticmethod
+    def _run(recorder, iterations):
+        for iteration in range(iterations):
+            recorder.start_iteration(iteration)
+            recorder.finish([])
+
+    def test_ring_stays_at_capacity_over_long_runs(self):
+        telemetry.enable()
+        recorder = IterationRecorder(rank=0)
+        self._run(recorder, DEFAULT_CAPACITY + 10)
+        ring = iteration_rings()[0]
+        assert ring.depth() == DEFAULT_CAPACITY
+        assert ring.dropped == 10
+        assert ring.records()[-1] is recorder.last
+        profiles = CriticalPathProfiler().profiles()
+        assert [p.iteration for p in profiles] == list(
+            range(10, DEFAULT_CAPACITY + 10)
+        )
+
+    def test_nothing_appended_while_recording_is_off(self):
+        recorder = IterationRecorder(rank=0)
+        self._run(recorder, 5)
+        assert recorder.last.iteration == 4
+        assert iteration_rings() == {}
+        assert CriticalPathProfiler().profiles() == []
+
+    def test_reset_empties_the_rings(self):
+        telemetry.enable()
+        self._run(IterationRecorder(rank=0), 3)
+        assert iteration_rings()[0].depth() == 3
+        telemetry.reset()
+        assert iteration_rings() == {}
+        assert CriticalPathProfiler().profiles() == []
 
 
 # ----------------------------------------------------------------------

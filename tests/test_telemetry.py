@@ -380,7 +380,7 @@ class TestTelemetryLifecycle:
             recorder = ddp.reducer.recorder
             return (
                 dict(ddp.reducer.last_iteration_stats),
-                dict(recorder.last_detail["phases"]),
+                dict(recorder.last.phases),
             )
 
         legacy, phases = run_world(2, body, backend="gloo")[0]

@@ -9,6 +9,9 @@ Three checks over ``docs/*.md``, ``README.md``, and
    ``repro.autotune.knobs.KNOBS`` must appear in a markdown *table row*
    in the docs (the knob tables in ``docs/autotuning.md`` are the
    canonical home).  A knob you can set but cannot look up is a bug.
+   The ``autotune_options`` table of ``docs/autotuning.md`` must list
+   exactly the keyword parameters of ``Autotuner.__init__``: a missing
+   row hides an option, a stale row documents one that is gone.
 2. **Dead links** — every relative markdown link must resolve to an
    existing file (anchors are stripped; external ``http(s)``/``mailto``
    links are skipped).
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import os
 import re
 import sys
@@ -69,6 +73,60 @@ def autotune_knobs():
     return set(KNOBS)
 
 
+def autotuner_options():
+    sys.path.insert(0, SRC_DIR)
+    from repro.autotune.service import Autotuner
+
+    params = list(inspect.signature(Autotuner.__init__).parameters)
+    return set(params[2:])  # drop self, ddp
+
+
+#: The sentence that introduces the options table in docs/autotuning.md.
+OPTIONS_TABLE_MARKER = "`autotune_options` keys"
+
+
+def options_table_rows(doc_text: str):
+    """First-cell names of the table after :data:`OPTIONS_TABLE_MARKER`
+    (None when the marker is missing)."""
+    at = doc_text.find(OPTIONS_TABLE_MARKER)
+    if at < 0:
+        return None
+    names = []
+    in_table = False
+    for line in doc_text[at:].splitlines()[1:]:
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            if in_table:
+                break
+            continue
+        in_table = True
+        cell = stripped.strip("|").split("|")[0].strip()
+        if cell.startswith("`") and cell.endswith("`"):
+            names.append(cell.strip("`"))
+    return names
+
+
+def check_autotune_options(docs):
+    """The ``autotune_options`` table rows equal Autotuner's options."""
+    text = next((text for path, text in docs
+                 if path.endswith(os.path.join("docs", "autotuning.md"))), "")
+    rows = options_table_rows(text)
+    if rows is None:
+        return [f"docs/autotuning.md: no table after {OPTIONS_TABLE_MARKER!r}"]
+    options = autotuner_options()
+    problems = [
+        f"Autotuner option {name} missing from the autotune_options table "
+        f"in docs/autotuning.md"
+        for name in sorted(options - set(rows))
+    ]
+    problems += [
+        f"docs/autotuning.md: stale autotune_options row {name} (not a "
+        f"keyword parameter of Autotuner.__init__)"
+        for name in sorted(set(rows) - options)
+    ]
+    return problems
+
+
 def table_row_text(doc_text: str) -> str:
     """Concatenated text of every markdown table row in the document."""
     rows = [
@@ -102,9 +160,11 @@ def check_knob_coverage(docs, verbose):
                 f"autotunable knob {knob} missing from the knob table in "
                 f"docs/autotuning.md"
             )
+    problems += check_autotune_options(docs)
     if verbose:
         print(f"  knob coverage: {len(env_vars)} env vars, "
-              f"{len(knobs)} autotune knobs checked")
+              f"{len(knobs)} autotune knobs, "
+              f"{len(autotuner_options())} autotune options checked")
     return problems
 
 
